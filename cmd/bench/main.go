@@ -31,7 +31,11 @@
 //   - pencil_fwd_inv_n64_p4 / p8: the forward+inverse transform on the
 //     2D pencil engine (2×2 and 2×4 process grids), pinning the
 //     two-transpose dataflow — column and row exchanges through
-//     per-sub-communicator plans — allocation-free at steady state.
+//     per-sub-communicator plans — allocation-free at steady state;
+//   - fft_c2c_plane_n64 / fft_r2c_plane_n64: the local FFT layer alone,
+//     one rank, no exchange — forward+inverse of the slab engine's
+//     interleaved y-plane batch (33 lines of 64, x fastest) and of its
+//     unit-stride real x-lines of one plane (64 lines of 64).
 //
 // Besides the -baseline/-check gate, `bench -compare old.json
 // new.json` diffs two measurement files row by row (speedup per
@@ -53,6 +57,7 @@ import (
 	"time"
 
 	"repro/internal/exchange"
+	"repro/internal/fft"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 	"repro/internal/spectral"
@@ -501,6 +506,44 @@ func packUnpack(nxh, ny, mz, p int) func(iters, workers int) sample {
 	}
 }
 
+// fftC2CPlane measures forward+inverse of the slab engine's y-plane
+// batch at length n: nxh interleaved lines, x fastest, in place.
+func fftC2CPlane(n int) func(iters, workers int) sample {
+	return func(iters, _ int) sample {
+		nxh := n/2 + 1
+		b := fft.NewBatch(n, nxh, nxh, 1, nxh, 1)
+		defer b.Release()
+		buf := make([]complex128, n*nxh)
+		for i := range buf {
+			buf[i] = complex(float64(i%13), float64(i%7))
+		}
+		return timeLoop(iters, 2, func() {
+			b.Forward(buf, buf)
+			b.Inverse(buf, buf)
+		})
+	}
+}
+
+// fftR2CPlane measures forward+inverse of the slab engine's real
+// x-line batch over one plane: n unit-stride lines of length n into
+// padded half-spectra.
+func fftR2CPlane(n int) func(iters, workers int) sample {
+	return func(iters, _ int) sample {
+		nxh := n/2 + 1
+		b := fft.NewRealBatch(n, n, 1, n, 1, nxh)
+		defer b.Release()
+		r := make([]float64, n*n)
+		for i := range r {
+			r[i] = float64(i%13) - 6
+		}
+		spec := make([]complex128, n*nxh)
+		return timeLoop(iters, 2, func() {
+			b.Forward(spec, r)
+			b.Inverse(r, spec)
+		})
+	}
+}
+
 var workloads = []workload{
 	{"slab_fwd_inv_n64_p4", 40, 8, true, slabTransform(64, 4)},
 	{"slab_fwd_inv_n128_p4", 10, 2, true, slabTransform(128, 4)},
@@ -524,6 +567,8 @@ var workloads = []workload{
 	{"slab_tuned_n64_p4", 40, 8, true, slabTransformTuned(64, 4)},
 	{"pencil_fwd_inv_n64_p4", 40, 8, true, pencilTransform(64, 2, 2)},
 	{"pencil_fwd_inv_n64_p8", 20, 4, true, pencilTransform(64, 2, 4)},
+	{"fft_c2c_plane_n64", 2000, 400, true, fftC2CPlane(64)},
+	{"fft_r2c_plane_n64", 1000, 200, true, fftR2CPlane(64)},
 }
 
 func main() {

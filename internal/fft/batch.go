@@ -11,12 +11,20 @@ import (
 // code depends on: transform t reads element j from
 // src[t·idist + j·istride] and writes element k to
 // dst[t·odist + k·ostride].
+//
+// The plan picks its kernel from its layout and factors. Interleaved
+// batches (idist = odist = 1, istride = ostride ≥ howmany > 1) whose
+// factors are all 2, 3 or 4 run the line-vectorized kernel (lines.go)
+// over a [n][howmany] block; every other batch runs the scalar
+// recursion line by line, reading the caller's strided line in place.
+// Both produce each line bit for bit as Plan would.
 type Batch struct {
 	p              *Plan
 	howmany        int
 	istride, idist int
 	ostride, odist int
-	in, out        []complex128
+	block          []complex128 // [n][howmany] line-vectorized block, or nil
+	in, out        []complex128 // scalar path: gathered Bluestein input, one output line
 }
 
 // NewBatch creates a batched plan of howmany length-n transforms with
@@ -25,23 +33,37 @@ func NewBatch(n, howmany, istride, idist, ostride, odist int) *Batch {
 	if howmany < 0 || istride < 1 || ostride < 1 {
 		panic(fmt.Sprintf("fft: invalid batch layout howmany=%d istride=%d ostride=%d", howmany, istride, ostride))
 	}
-	return &Batch{
+	b := &Batch{
 		p:       NewPlan(n),
 		howmany: howmany,
 		istride: istride, idist: idist,
 		ostride: ostride, odist: odist,
-		in:  pool.GetComplex(n),
-		out: pool.GetComplex(n),
 	}
+	// Interleaved lines are disjoint (istride ≥ howmany) and each
+	// writes back exactly the positions it read (same layout on both
+	// sides), so reading the whole block before writing any line is
+	// indistinguishable from line-by-line execution, in place too.
+	interleaved := howmany > 1 && idist == 1 && odist == 1 && istride == ostride && istride >= howmany
+	switch {
+	case interleaved && b.p.vectorizable():
+		b.block = pool.GetComplex(n * howmany)
+	case b.p.blue != nil:
+		b.in = pool.GetComplex(n)
+		b.out = pool.GetComplex(n)
+	default:
+		b.out = pool.GetComplex(n)
+	}
+	return b
 }
 
 // Release returns the batch's scratch (and its plan's) to the process
 // buffer arena. The batch must not be used afterwards.
 func (b *Batch) Release() {
 	b.p.Release()
+	pool.PutComplex(b.block)
 	pool.PutComplex(b.in)
 	pool.PutComplex(b.out)
-	b.in, b.out = nil, nil
+	b.block, b.in, b.out = nil, nil, nil
 }
 
 // NewContiguousBatch is shorthand for howmany back-to-back unit-stride
@@ -62,17 +84,38 @@ func (b *Batch) Forward(dst, src []complex128) { b.exec(dst, src, Forward) }
 // Inverse runs all inverse transforms (each scaled by 1/n).
 func (b *Batch) Inverse(dst, src []complex128) { b.exec(dst, src, Inverse) }
 
+//psdns:hotpath
 func (b *Batch) exec(dst, src []complex128, dir Direction) {
-	n := b.p.Len()
-	for t := 0; t < b.howmany; t++ {
-		ibase := t * b.idist
-		for j := 0; j < n; j++ {
-			b.in[j] = src[ibase+j*b.istride]
-		}
-		b.p.run(b.out, b.in, dir)
-		obase := t * b.odist
+	p, n := b.p, b.p.n
+	switch {
+	case b.block != nil:
+		// Line-vectorized: the whole batch is one recursion over the
+		// block, then each bin row goes back as one contiguous run.
+		L := b.howmany
+		transforms.Add(int64(L))
+		p.vrecurse(b.block, src, L, n, b.istride, dir, p.table(dir), p.factors)
 		for k := 0; k < n; k++ {
-			dst[obase+k*b.ostride] = b.out[k]
+			p.store(dst[k*b.ostride:k*b.ostride+L], 1, row(b.block, k, L), dir)
+		}
+	case p.blue != nil:
+		// Bluestein needs its input contiguous: gather each line.
+		for t := 0; t < b.howmany; t++ {
+			ibase := t * b.idist
+			for j := range b.in {
+				b.in[j] = src[ibase+j*b.istride]
+			}
+			p.run(b.out, b.in, dir)
+			obase := t * b.odist
+			for k, v := range b.out {
+				dst[obase+k*b.ostride] = v
+			}
+		}
+	default:
+		tw := p.table(dir)
+		transforms.Add(int64(b.howmany))
+		for t := 0; t < b.howmany; t++ {
+			p.recurse(b.out, src[t*b.idist:], n, b.istride, dir, tw, p.factors)
+			p.store(dst[t*b.odist:], b.ostride, b.out, dir)
 		}
 	}
 }
@@ -87,8 +130,9 @@ type RealBatch struct {
 	howmany        int
 	rstride, rdist int
 	cstride, cdist int
-	rbuf           []float64
-	cbuf           []complex128
+	// One gathered line per domain, for strided layouts only.
+	rbuf []float64
+	cbuf []complex128
 }
 
 // NewRealBatch creates a batched real-transform plan.
@@ -96,15 +140,22 @@ func NewRealBatch(n, howmany, rstride, rdist, cstride, cdist int) *RealBatch {
 	if howmany < 0 || rstride < 1 || cstride < 1 {
 		panic(fmt.Sprintf("fft: invalid real batch layout howmany=%d rstride=%d cstride=%d", howmany, rstride, cstride))
 	}
-	return &RealBatch{
+	b := &RealBatch{
 		p:       NewRealPlan(n),
 		howmany: howmany,
 		rstride: rstride, rdist: rdist,
 		cstride: cstride, cdist: cdist,
-		rbuf: pool.GetFloat(n),
-		cbuf: pool.GetComplex(n/2 + 1),
 	}
+	if !b.unitStride() {
+		b.rbuf = pool.GetFloat(n)
+		b.cbuf = pool.GetComplex(n/2 + 1)
+	}
+	return b
 }
+
+// unitStride reports whether both domains are unit-stride, in which
+// case the plan transforms caller memory directly with no gather.
+func (b *RealBatch) unitStride() bool { return b.rstride == 1 && b.cstride == 1 }
 
 // Release returns the batch's scratch (and its plan's) to the process
 // buffer arena. The batch must not be used afterwards.
@@ -117,8 +168,17 @@ func (b *RealBatch) Release() {
 
 // Forward transforms howmany real sequences from src into half-spectra
 // in dst.
+//
+//psdns:hotpath
 func (b *RealBatch) Forward(dst []complex128, src []float64) {
 	n, h := b.p.Len(), b.p.HalfLen()
+	if b.unitStride() {
+		for t := 0; t < b.howmany; t++ {
+			rbase, cbase := t*b.rdist, t*b.cdist
+			b.p.Forward(dst[cbase:cbase+h], src[rbase:rbase+n])
+		}
+		return
+	}
 	for t := 0; t < b.howmany; t++ {
 		rbase := t * b.rdist
 		for j := 0; j < n; j++ {
@@ -134,8 +194,17 @@ func (b *RealBatch) Forward(dst []complex128, src []float64) {
 
 // Inverse transforms howmany half-spectra from src into real sequences
 // in dst (each scaled by 1/n).
+//
+//psdns:hotpath
 func (b *RealBatch) Inverse(dst []float64, src []complex128) {
 	n, h := b.p.Len(), b.p.HalfLen()
+	if b.unitStride() {
+		for t := 0; t < b.howmany; t++ {
+			rbase, cbase := t*b.rdist, t*b.cdist
+			b.p.Inverse(dst[rbase:rbase+n], src[cbase:cbase+h])
+		}
+		return
+	}
 	for t := 0; t < b.howmany; t++ {
 		cbase := t * b.cdist
 		for k := 0; k < h; k++ {

@@ -9,12 +9,14 @@ package fft
 // The codelets compute the length-2/4/8 DFTs of the strided input
 // directly — no recursion, no table lookups, exact ±1/±i/√2⁄2
 // arithmetic — and recurse dispatches them before looking at the
-// factor list. Batched callers reach them through BatchCache → Batch →
-// Plan.run → recurse, so every short y/z line in the hot loops lands
-// here. Bluestein lengths never reach recurse, and any composite with
-// 2 | n has factors drawn from {4, 2} ∪ odd, so n ∈ {2, 4, 8} is
-// always a pure power of two here — the codelets are complete DFTs,
-// not one factor's butterfly.
+// factor list. Batched callers reach them through BatchCache → Batch.exec
+// → Plan.recurse on the scalar path (contiguous and arbitrary-stride
+// batches, single plans, real plans' half-length lines); interleaved
+// batches run the same formulas line-vectorized as vdft2/vdft4/vdft8
+// (lines.go) under Plan.vrecurse. Bluestein lengths never reach either
+// recursion, and any composite with 2 | n has factors drawn from
+// {4, 2} ∪ odd, so n ∈ {2, 4, 8} is always a pure power of two here —
+// the codelets are complete DFTs, not one factor's butterfly.
 
 // dft2 is the length-2 DFT of x[0], x[s] into out[0:2]. The single
 // twiddle is W⁰ = 1 in both directions.

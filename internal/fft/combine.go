@@ -6,17 +6,22 @@ package fft
 // combined length-(r·m) transform, with X[k1+m·k2] stored in place of
 // the gathered positions {k1+m·q}. For a fixed k1 the read set and the
 // write set are the same r positions, so a small gather buffer suffices.
+//
+// tw is the plan-global table of the transform's direction (forward,
+// or its conjugate for inverse), so W_n^{q·k1} is tw[q·k1·ws] with
+// ws = N/n: every such exponent is below N and needs no reduction.
+// Only the generic radix's W_r^{q·k2} exponent wraps.
 
-func (p *Plan) combine2(out []complex128, m, ws int, dir Direction) {
+func combine2(out []complex128, m, ws int, tw []complex128) {
 	for k1 := 0; k1 < m; k1++ {
 		a := out[k1]
-		b := out[m+k1] * p.tw(k1*ws, dir)
+		b := out[m+k1] * tw[k1*ws]
 		out[k1] = a + b
 		out[m+k1] = a - b
 	}
 }
 
-func (p *Plan) combine3(out []complex128, m, ws int, dir Direction) {
+func combine3(out []complex128, m, ws int, tw []complex128, dir Direction) {
 	// W_3 = exp(−2πi/3) = −1/2 − i·√3/2 (conjugated for inverse).
 	const s3 = 0.86602540378443864676
 	im := s3
@@ -25,8 +30,8 @@ func (p *Plan) combine3(out []complex128, m, ws int, dir Direction) {
 	}
 	for k1 := 0; k1 < m; k1++ {
 		a := out[k1]
-		b := out[m+k1] * p.tw(k1*ws, dir)
-		c := out[2*m+k1] * p.tw(2*k1*ws, dir)
+		b := out[m+k1] * tw[k1*ws]
+		c := out[2*m+k1] * tw[2*k1*ws]
 		sum := b + c
 		diff := b - c
 		out[k1] = a + sum
@@ -38,12 +43,12 @@ func (p *Plan) combine3(out []complex128, m, ws int, dir Direction) {
 	}
 }
 
-func (p *Plan) combine4(out []complex128, m, ws int, dir Direction) {
+func combine4(out []complex128, m, ws int, tw []complex128, dir Direction) {
 	for k1 := 0; k1 < m; k1++ {
 		a := out[k1]
-		b := out[m+k1] * p.tw(k1*ws, dir)
-		c := out[2*m+k1] * p.tw(2*k1*ws, dir)
-		d := out[3*m+k1] * p.tw(3*k1*ws, dir)
+		b := out[m+k1] * tw[k1*ws]
+		c := out[2*m+k1] * tw[2*k1*ws]
+		d := out[3*m+k1] * tw[3*k1*ws]
 		apc := a + c
 		amc := a - c
 		bpd := b + d
@@ -62,7 +67,7 @@ func (p *Plan) combine4(out []complex128, m, ws int, dir Direction) {
 	}
 }
 
-func (p *Plan) combine5(out []complex128, m, ws int, dir Direction) {
+func combine5(out []complex128, m, ws int, tw []complex128, dir Direction) {
 	// Direct 5-point butterfly using W_5 powers from the global table:
 	// W_5 = W_n^{m·ws·…}; equivalently use precomputed constants.
 	const (
@@ -77,10 +82,10 @@ func (p *Plan) combine5(out []complex128, m, ws int, dir Direction) {
 	}
 	for k1 := 0; k1 < m; k1++ {
 		a := out[k1]
-		t1 := out[m+k1] * p.tw(k1*ws, dir)
-		t2 := out[2*m+k1] * p.tw(2*k1*ws, dir)
-		t3 := out[3*m+k1] * p.tw(3*k1*ws, dir)
-		t4 := out[4*m+k1] * p.tw(4*k1*ws, dir)
+		t1 := out[m+k1] * tw[k1*ws]
+		t2 := out[2*m+k1] * tw[2*k1*ws]
+		t3 := out[3*m+k1] * tw[3*k1*ws]
+		t4 := out[4*m+k1] * tw[4*k1*ws]
 		s14 := t1 + t4
 		d14 := t1 - t4
 		s23 := t2 + t3
@@ -102,17 +107,17 @@ func (p *Plan) combine5(out []complex128, m, ws int, dir Direction) {
 // combineGeneric handles any small prime radix with an O(r²) butterfly
 // using the plan's preallocated gather buffer (safe: recursion within
 // one transform is strictly sequential).
-func (p *Plan) combineGeneric(out []complex128, r, m, ws int, dir Direction) {
+func (p *Plan) combineGeneric(out []complex128, r, m, ws int, tw []complex128) {
 	t := p.gen[:r]
 	for k1 := 0; k1 < m; k1++ {
 		for q := 0; q < r; q++ {
-			t[q] = out[q*m+k1] * p.tw(q*k1*ws, dir)
+			t[q] = out[q*m+k1] * tw[q*k1*ws]
 		}
 		for k2 := 0; k2 < r; k2++ {
 			acc := t[0]
 			for q := 1; q < r; q++ {
 				// W_r^{q·k2} = W_n^{m·q·k2} = W_N^{ws·m·q·k2}.
-				acc += t[q] * p.tw(ws*m*q*k2, dir)
+				acc += t[q] * tw[(ws*m*q*k2)%p.n]
 			}
 			out[k2*m+k1] = acc
 		}

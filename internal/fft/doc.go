@@ -1,10 +1,11 @@
 // Package fft provides from-scratch fast Fourier transforms used by the
 // pseudo-spectral DNS code: complex-to-complex transforms of any length
-// (mixed radix 2/3/5/7, generic prime butterflies, and Bluestein's
-// algorithm for lengths with large prime factors), real-to-complex and
-// complex-to-real transforms exploiting conjugate symmetry, and batched
-// strided plans mirroring the plan semantics of cuFFT that the paper's
-// GPU kernels rely on.
+// (radix-4/2/3/5 butterflies, direct butterflies for primes up to 61,
+// and Bluestein's algorithm for lengths with larger prime factors),
+// real-to-complex and complex-to-real transforms exploiting conjugate
+// symmetry, and batched strided plans mirroring the plan semantics of
+// cuFFT that the paper's GPU kernels rely on. Interleaved batches run
+// line-vectorized, many lines per butterfly, as cufftPlanMany does.
 //
 // Conventions: the forward transform computes
 //

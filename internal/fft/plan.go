@@ -2,7 +2,6 @@ package fft
 
 import (
 	"fmt"
-	"math/cmplx"
 
 	"repro/internal/pool"
 )
@@ -26,14 +25,12 @@ const maxDirectPrime = 61
 // Plan must not be used concurrently; allocate one Plan per goroutine
 // (as the per-worker plan maps in pfft and core do).
 type Plan struct {
-	n         int
-	factors   []int
-	w         []complex128 // w[j] = exp(−2πi·j/n)
-	blue      *bluestein   // non-nil when a prime factor exceeds maxDirectPrime
-	scratch   []complex128
-	scratch2  []complex128
-	gen       []complex128 // generic-radix butterfly gather buffer
-	needsBlue bool
+	n       int
+	factors []int
+	tw      *twTable   // shared forward and conjugate twiddles
+	blue    *bluestein // non-nil when a prime factor exceeds maxDirectPrime
+	scratch []complex128
+	gen     []complex128 // generic-radix butterfly gather buffer
 }
 
 // NewPlan creates a plan for complex transforms of length n (n ≥ 1).
@@ -44,26 +41,23 @@ func NewPlan(n int) *Plan {
 	plansCreated.Add(1)
 	p := &Plan{n: n}
 	p.factors = factorize(n)
-	for _, f := range p.factors {
-		if f > maxDirectPrime {
-			p.needsBlue = true
-		}
-	}
-	if p.needsBlue {
+	if p.maxFactor() > maxDirectPrime {
 		p.blue = newBluestein(n)
 		return p
 	}
-	p.w = twiddles(n)
+	p.tw = twiddleTables(n)
 	p.scratch = pool.GetComplex(n)
-	p.scratch2 = pool.GetComplex(n)
+	p.gen = pool.GetComplex(p.maxFactor())
+	return p
+}
+
+// maxFactor is the largest factor of the plan's length (0 for n = 1).
+func (p *Plan) maxFactor() int {
 	maxF := 0
 	for _, f := range p.factors {
-		if f > maxF {
-			maxF = f
-		}
+		maxF = max(maxF, f)
 	}
-	p.gen = pool.GetComplex(maxF)
-	return p
+	return maxF
 }
 
 // Release returns the plan's scratch buffers to the process buffer
@@ -75,9 +69,8 @@ func (p *Plan) Release() {
 		p.blue = nil
 	}
 	pool.PutComplex(p.scratch)
-	pool.PutComplex(p.scratch2)
 	pool.PutComplex(p.gen)
-	p.scratch, p.scratch2, p.gen = nil, nil, nil
+	p.scratch, p.gen = nil, nil
 }
 
 // Len reports the transform length of the plan.
@@ -91,39 +84,78 @@ func (p *Plan) Forward(dst, src []complex128) { p.run(dst, src, Forward) }
 // into dst. dst and src must each have length n and may alias.
 func (p *Plan) Inverse(dst, src []complex128) { p.run(dst, src, Inverse) }
 
+//psdns:hotpath
 func (p *Plan) run(dst, src []complex128, dir Direction) {
 	if len(dst) != p.n || len(src) != p.n {
 		panic(fmt.Sprintf("fft: plan length %d, got dst %d src %d", p.n, len(dst), len(src)))
 	}
+	// The recursion reads src and writes scratch, so dst may alias
+	// src; Bluestein reads src in full before writing dst.
+	out := p.scratch
+	if p.blue != nil {
+		out = dst
+	}
+	p.transform(out, src, dir)
+	p.store(dst, 1, out, dir)
+}
+
+// transform computes the unnormalized DFT of the unit-stride line x
+// into out, which must not alias x unless the plan is Bluestein. It
+// counts one transform.
+//
+//psdns:hotpath
+func (p *Plan) transform(out, x []complex128, dir Direction) {
 	transforms.Add(1)
-	if p.n == 1 {
-		dst[0] = src[0]
+	if p.blue != nil {
+		p.blue.transform(out, x, dir)
 		return
 	}
-	if p.needsBlue {
-		p.blue.transform(dst, src, dir)
-		if dir == Inverse {
-			scale(dst, 1/float64(p.n))
+	p.recurse(out, x, p.n, 1, dir, p.table(dir), p.factors)
+}
+
+// store writes v[k] to dst[k·stride], applying the inverse transform's
+// 1/n factor; length-1 plans pass through unscaled, as they always
+// have. v is one output line, or one bin row of a line-vectorized
+// block, and may be dst itself (stride 1).
+//
+//psdns:hotpath
+func (p *Plan) store(dst []complex128, stride int, v []complex128, dir Direction) {
+	if dir == Forward || p.n == 1 {
+		if stride == 1 {
+			copy(dst, v)
+			return
+		}
+		for k, x := range v {
+			dst[k*stride] = x
 		}
 		return
 	}
-	// Work out-of-place into scratch to permit aliasing, then copy.
-	work := p.scratch
-	copy(p.scratch2, src)
-	p.recurse(work, p.scratch2, p.n, 1, dir, p.factors)
-	copy(dst, work)
-	if dir == Inverse {
-		scale(dst, 1/float64(p.n))
+	c := complex(1/float64(p.n), 0)
+	for k, x := range v {
+		dst[k*stride] = x * c
 	}
 }
 
+// table returns the twiddle table of the requested direction: the
+// forward table, or its conjugate for inverse transforms.
+func (p *Plan) table(dir Direction) []complex128 {
+	if dir == Inverse {
+		return p.tw.wc
+	}
+	return p.tw.w
+}
+
 // recurse computes the length-n DFT of x[0], x[s], … x[(n−1)·s] into
-// out[0:n] by decimation in time over the remaining factors. Short
-// power-of-two lengths dispatch to the direct codelets (codelet.go)
-// before factor decomposition: at those lengths the remaining factors
-// are exactly {4}, {4,2} or {2}, so the codelet computes the same DFT
-// without the per-leaf recursion and twiddle-table traffic.
-func (p *Plan) recurse(out, x []complex128, n, s int, dir Direction, factors []int) {
+// out[0:n] by decimation in time over the remaining factors; tw is the
+// plan-global twiddle table of the direction. x is only read, so it
+// may be the caller's strided line. Short power-of-two lengths
+// dispatch to the direct codelets (codelet.go) before factor
+// decomposition: at those lengths the remaining factors are exactly
+// {4}, {4,2} or {2}, so the codelet computes the same DFT without the
+// per-leaf recursion and twiddle-table traffic.
+//
+//psdns:hotpath
+func (p *Plan) recurse(out, x []complex128, n, s int, dir Direction, tw []complex128, factors []int) {
 	switch n {
 	case 1:
 		out[0] = x[0]
@@ -142,39 +174,22 @@ func (p *Plan) recurse(out, x []complex128, n, s int, dir Direction, factors []i
 	m := n / r
 	// Sub-transforms: F_q = DFT of x[q·s], x[q·s+r·s], … (length m).
 	for q := 0; q < r; q++ {
-		p.recurse(out[q*m:(q+1)*m], x[q*s:], m, s*r, dir, factors[1:])
+		p.recurse(out[q*m:(q+1)*m], x[q*s:], m, s*r, dir, tw, factors[1:])
 	}
 	// Combine: X[k1 + m·k2] = Σ_q W_n^{q·k1}·W_r^{q·k2}·F_q[k1].
 	// Twiddle stride into the global table: ws = N/n.
 	ws := p.n / n
 	switch r {
 	case 2:
-		p.combine2(out, m, ws, dir)
+		combine2(out, m, ws, tw)
 	case 3:
-		p.combine3(out, m, ws, dir)
+		combine3(out, m, ws, tw, dir)
 	case 4:
-		p.combine4(out, m, ws, dir)
+		combine4(out, m, ws, tw, dir)
 	case 5:
-		p.combine5(out, m, ws, dir)
+		combine5(out, m, ws, tw, dir)
 	default:
-		p.combineGeneric(out, r, m, ws, dir)
-	}
-}
-
-// tw returns W_n^j for the plan-global table with the requested
-// direction (conjugated for inverse transforms).
-func (p *Plan) tw(idx int, dir Direction) complex128 {
-	w := p.w[idx%p.n]
-	if dir == Inverse {
-		return cmplx.Conj(w)
-	}
-	return w
-}
-
-func scale(v []complex128, a float64) {
-	c := complex(a, 0)
-	for i := range v {
-		v[i] *= c
+		p.combineGeneric(out, r, m, ws, tw)
 	}
 }
 

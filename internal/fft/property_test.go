@@ -127,11 +127,12 @@ func TestRealPlanConsistencyProperty(t *testing.T) {
 }
 
 // Property: batch execution with arbitrary valid strides equals
-// transform-by-transform execution.
+// transform-by-transform execution bit for bit — the line-vectorized
+// kernel reorders loops, never arithmetic.
 func TestBatchEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(16)
+		n := 1 + rng.Intn(130)
 		hm := 1 + rng.Intn(5)
 		// Interleaved layout: stride hm, dist 1.
 		src := randComplex(rng, n*hm)
@@ -147,7 +148,7 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 			}
 			p.Forward(out, one)
 			for k := 0; k < n; k++ {
-				if cmplx.Abs(dst[tIdx+k*hm]-out[k]) > 1e-10 {
+				if dst[tIdx+k*hm] != out[k] {
 					return false
 				}
 			}

@@ -63,6 +63,8 @@ func (p *RealPlan) HalfLen() int { return p.n/2 + 1 }
 
 // Forward computes the forward transform of the real sequence src
 // (length n) into dst (length n/2+1), unnormalized.
+//
+//psdns:hotpath
 func (p *RealPlan) Forward(dst []complex128, src []float64) {
 	n := p.n
 	if len(src) != n || len(dst) != p.HalfLen() {
@@ -73,7 +75,7 @@ func (p *RealPlan) Forward(dst []complex128, src []float64) {
 		for j, v := range src {
 			p.zs[j] = complex(v, 0)
 		}
-		p.full.Forward(p.zs2, p.zs)
+		p.full.transform(p.zs2, p.zs, Forward)
 		copy(dst, p.zs2[:p.HalfLen()])
 		return
 	}
@@ -81,14 +83,22 @@ func (p *RealPlan) Forward(dst []complex128, src []float64) {
 	for j := 0; j < h; j++ {
 		p.zs[j] = complex(src[2*j], src[2*j+1])
 	}
-	p.half.Forward(p.zs2, p.zs)
+	p.half.transform(p.zs2, p.zs, Forward)
 	z := p.zs2
-	for k := 0; k <= h; k++ {
-		zk := z[k%h]
-		zc := cmplx.Conj(z[(h-k)%h])
+	// Bins 0 and h both unpack z[0] (z has period h); they differ only
+	// in the twiddle, W⁰ = wr[0] and W^h = −1.
+	zk := z[0]
+	zc := cmplx.Conj(z[0])
+	xe := (zk + zc) * 0.5
+	xo := (zk - zc) * complex(0, -0.5)
+	dst[0] = xe + p.wr[0]*xo
+	dst[h] = xe + complex(-1, 0)*xo
+	for k := 1; k < h; k++ {
+		zk := z[k]
+		zc := cmplx.Conj(z[h-k])
 		xe := (zk + zc) * 0.5
 		xo := (zk - zc) * complex(0, -0.5)
-		dst[k] = xe + p.wrAt(k)*xo
+		dst[k] = xe + p.wr[k]*xo
 	}
 }
 
@@ -96,6 +106,8 @@ func (p *RealPlan) Forward(dst []complex128, src []float64) {
 // the half-spectrum src (length n/2+1) into the real sequence dst
 // (length n). The k=0 and k=n/2 inputs should have zero imaginary part;
 // any residual imaginary part is ignored, matching conjugate symmetry.
+//
+//psdns:hotpath
 func (p *RealPlan) Inverse(dst []float64, src []complex128) {
 	n := p.n
 	if len(dst) != n || len(src) != p.HalfLen() {
@@ -108,7 +120,8 @@ func (p *RealPlan) Inverse(dst []float64, src []complex128) {
 			p.zs[k] = src[k]
 			p.zs[n-k] = cmplx.Conj(src[k])
 		}
-		p.full.Inverse(p.zs2, p.zs)
+		p.full.transform(p.zs2, p.zs, Inverse)
+		p.full.store(p.zs2, 1, p.zs2, Inverse)
 		for j := range dst {
 			dst[j] = real(p.zs2[j])
 		}
@@ -119,21 +132,13 @@ func (p *RealPlan) Inverse(dst []float64, src []complex128) {
 		xk := src[k]
 		xc := cmplx.Conj(src[h-k])
 		xe := (xk + xc) * 0.5
-		xo := (xk - xc) * 0.5 * cmplx.Conj(p.wrAt(k))
+		xo := (xk - xc) * 0.5 * cmplx.Conj(p.wr[k])
 		p.zs[k] = xe + complex(0, 1)*xo
 	}
-	p.half.Inverse(p.zs2, p.zs)
-	for j := 0; j < h; j++ {
-		dst[2*j] = real(p.zs2[j])
-		dst[2*j+1] = imag(p.zs2[j])
+	p.half.transform(p.zs2, p.zs, Inverse)
+	p.half.store(p.zs2, 1, p.zs2, Inverse)
+	for j, z := range p.zs2 {
+		dst[2*j] = real(z)
+		dst[2*j+1] = imag(z)
 	}
-}
-
-func (p *RealPlan) wrAt(k int) complex128 {
-	h := p.n / 2
-	if k < h {
-		return p.wr[k]
-	}
-	// k == h: exp(−iπ) = −1.
-	return complex(-1, 0)
 }

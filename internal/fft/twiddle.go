@@ -18,25 +18,38 @@ import (
 // time), so one entry per n covers every (n, stride) pair.
 var (
 	twMu     sync.RWMutex
-	twTables = map[int][]complex128{}
+	twTables = map[int]*twTable{}
 
 	twiddleHits   atomic.Int64 // tables served from the shared cache
 	twiddleMisses atomic.Int64 // tables computed fresh
 )
 
+// twTable is the shared pair of tables for one length: the forward
+// table w[j] = exp(−2πi·j/n) and its conjugate wc[j] = conj(w[j]), the
+// inverse transform's twiddles. Conjugation is exact, so indexing wc
+// gives the same bits as conjugating a w entry at lookup time.
+type twTable struct {
+	w, wc []complex128
+}
+
 // twiddles returns the shared read-only table w[j] = exp(−2πi·j/n).
 // Callers must not modify the returned slice.
-func twiddles(n int) []complex128 {
+func twiddles(n int) []complex128 { return twiddleTables(n).w }
+
+// twiddleTables returns the shared read-only forward and conjugate
+// tables of length n, computing them on first use.
+func twiddleTables(n int) *twTable {
 	twMu.RLock()
-	w, ok := twTables[n]
+	t, ok := twTables[n]
 	twMu.RUnlock()
 	if ok {
 		twiddleHits.Add(1)
-		return w
+		return t
 	}
-	w = make([]complex128, n)
+	t = &twTable{w: make([]complex128, n), wc: make([]complex128, n)}
 	for j := 0; j < n; j++ {
-		w[j] = cmplx.Exp(complex(0, -2*math.Pi*float64(j)/float64(n)))
+		t.w[j] = cmplx.Exp(complex(0, -2*math.Pi*float64(j)/float64(n)))
+		t.wc[j] = cmplx.Conj(t.w[j])
 	}
 	twMu.Lock()
 	if prev, ok := twTables[n]; ok {
@@ -46,10 +59,10 @@ func twiddles(n int) []complex128 {
 		twiddleHits.Add(1)
 		return prev
 	}
-	twTables[n] = w
+	twTables[n] = t
 	twMu.Unlock()
 	twiddleMisses.Add(1)
-	return w
+	return t
 }
 
 // blueShared is the read-only part of a Bluestein setup for one length:

@@ -9,7 +9,7 @@ import (
 func TestTwiddleTableShared(t *testing.T) {
 	p1 := NewPlan(96)
 	p2 := NewPlan(96)
-	if &p1.w[0] != &p2.w[0] {
+	if &p1.tw.w[0] != &p2.tw.w[0] || &p1.tw.wc[0] != &p2.tw.wc[0] {
 		t.Fatal("plans of equal length do not share the twiddle table")
 	}
 	p1.Release()
