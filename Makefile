@@ -4,7 +4,7 @@
 GO ?= go
 PSDNSLINT := bin/psdnslint
 
-.PHONY: all build test lint lint-fix fmt bench clean
+.PHONY: all build test smoke lint lint-fix fmt bench clean
 
 all: build test lint
 
@@ -13,6 +13,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# smoke runs every example program and a small multi-stage campaign
+# (forced, async engine, regrid, scalar + particles); it fails on the
+# first non-zero exit.
+smoke:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d; done
+	$(GO) run ./cmd/campaign -config cmd/campaign/testdata/smoke.json
 
 # lint = gofmt (fail on unformatted files) + go vet + the repo's own
 # psdnslint analyzer suite, plus staticcheck when it is installed

@@ -223,12 +223,6 @@ func NewAsync(c *Comm, n int, opts ...AsyncOption) *AsyncTransform {
 	return core.NewAsyncSlabReal(c, n, o)
 }
 
-// NewAsyncTransform builds the asynchronous engine from an options
-// struct (the pre-options API, kept for compatibility).
-func NewAsyncTransform(c *Comm, n int, opt AsyncOptions) *AsyncTransform {
-	return core.NewAsyncSlabReal(c, n, opt)
-}
-
 // NewSyncGPUTransform is the Fig 2 synchronous baseline (NP=1).
 func NewSyncGPUTransform(c *Comm, n int) *AsyncTransform { return core.NewSyncGPU(c, n) }
 
@@ -237,8 +231,8 @@ func NewSlabTransform(c *Comm, n int) *pfft.SlabReal { return pfft.NewSlabReal(c
 
 // NewThreadedSlabTransform is the hybrid MPI+OpenMP-style transform
 // with a worker team per rank.
-func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabRealThreaded {
-	return pfft.NewSlabRealThreaded(c, n, threads)
+func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabReal {
+	return pfft.NewSlabRealWorkers(c, n, threads)
 }
 
 // NewTunedSlabTransform builds the host slab transform through the

@@ -325,9 +325,8 @@ func dnsStep(n, p int) func(iters, workers int) sample {
 		mpi.Run(p, func(c *mpi.Comm) {
 			tr := pfft.NewSlabRealWorkers(c, n, workers)
 			defer tr.Close()
-			sol := spectral.NewSolverWithTransform(c, spectral.Config{
-				N: n, Nu: 0.01, Scheme: spectral.RK2, Dealias: spectral.Dealias23,
-			}, tr)
+			sol := spectral.New(c, n, spectral.WithNu(0.01), spectral.WithScheme(spectral.RK2),
+				spectral.WithDealias(spectral.Dealias23), spectral.WithTransform(tr))
 			defer sol.Close()
 			sol.SetRandomIsotropic(3, 0.5, 1)
 			step := func() { sol.Step(1e-4) }

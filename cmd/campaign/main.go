@@ -86,7 +86,7 @@ func main() {
 		root := c.Rank() == 0
 		var prev *spectral.Solver
 		for si, st := range cfg.Stages {
-			solver := buildSolver(c, cfg, st.N)
+			solver := buildSolver(c, cfg, st)
 			if prev == nil {
 				solver.SetRandomIsotropic(cfg.K0, cfg.E0, cfg.Seed)
 			} else {
@@ -100,11 +100,6 @@ func main() {
 				// The coarse stage's state now lives in the new
 				// solver; release the old engine's plans (collective).
 				prev.Close()
-			}
-			var th *spectral.Scalar
-			if st.Scalar {
-				th = solver.NewScalar(cfg.Nu)
-				th.MeanGrad = 1
 			}
 			var parts *spectral.Particles
 			if st.Particles > 0 {
@@ -124,41 +119,29 @@ func main() {
 				if parts != nil {
 					solver.StepParticles(parts, dt)
 				}
-				if th != nil {
-					solver.StepWithScalar(th, dt)
-				} else {
-					solver.Step(dt)
-				}
+				solver.Step(dt)
 				timer.End()
 			}
 			stt := solver.Statistics()
 			div := solver.DivergenceMax()
+			var scVar, scChi float64
+			if st.Scalar {
+				scVar, scChi = solver.FieldVariance(3), solver.FieldDissipation(3)
+			}
 			if root {
 				fmt.Printf("stage %d done: %d³, %d steps, t=%.4f, %.3fs/step\n",
 					si, st.N, st.Steps, solver.Time(), timer.MeanMax())
 				fmt.Printf("  E=%.5f ε=%.5f Re_λ=%.1f kmaxη=%.2f div=%.1e\n",
 					stt.Energy, stt.Dissipation, stt.ReLambda, stt.KMaxEta, div)
-				if th != nil {
-					fmt.Printf("  scalar ⟨θ²⟩=%.5g χ=%.5g\n",
-						solver.ScalarVariance(th), solver.ScalarDissipation(th))
+				if st.Scalar {
+					fmt.Printf("  scalar ⟨θ²⟩=%.5g χ=%.5g\n", scVar, scChi)
 				}
 				if parts != nil {
 					fmt.Printf("  particle dispersion %.5g\n", parts.Dispersion())
 				}
-			} else {
-				if th != nil {
-					solver.ScalarVariance(th)
-					solver.ScalarDissipation(th)
-				}
 			}
 			if st.Checkpoint != "" {
-				var err error
-				if th != nil {
-					err = solver.SaveCheckpoint(st.Checkpoint, th)
-				} else {
-					err = solver.SaveCheckpoint(st.Checkpoint)
-				}
-				if err != nil {
+				if err := solver.SaveCheckpoint(st.Checkpoint); err != nil {
 					log.Fatalf("rank %d: checkpoint: %v", c.Rank(), err)
 				}
 				if root {
@@ -187,12 +170,24 @@ func main() {
 	})
 }
 
-// buildSolver assembles the configured transform engine and solver.
-func buildSolver(c *mpi.Comm, cfg Config, n int) *spectral.Solver {
-	scfg := spectral.Config{N: n, Nu: cfg.Nu, Scheme: spectral.RK2, Dealias: spectral.Dealias23}
-	if cfg.ForcingShells > 0 {
-		scfg.Forcing = spectral.NewForcing(cfg.ForcingShells)
+// buildSolver assembles the configured transform engine and the
+// stage's solver: forced when forcingShells is set (at the default
+// injection rate), carrying a passive scalar with mean gradient 1 when
+// the stage asks for one.
+func buildSolver(c *mpi.Comm, cfg Config, st Stage) *spectral.Solver {
+	n := st.N
+	opts := []spectral.Option{
+		spectral.WithNu(cfg.Nu),
+		spectral.WithScheme(spectral.RK2),
+		spectral.WithDealias(spectral.Dealias23),
 	}
+	if cfg.ForcingShells > 0 {
+		opts = append(opts, spectral.WithForcing(cfg.ForcingShells, spectral.DefaultForcingEps))
+	}
+	if st.Scalar {
+		opts = append(opts, spectral.WithScalars(1, 1), spectral.WithScalarGradient(1))
+	}
+	var tr spectral.Transform
 	switch cfg.Engine {
 	case "async":
 		gran := core.PerSlab
@@ -203,27 +198,19 @@ func buildSolver(c *mpi.Comm, cfg Config, n int) *spectral.Solver {
 		if np == 0 {
 			np = 3
 		}
-		tr := core.NewAsyncSlabReal(c, n, core.Options{
+		tr = core.NewAsyncSlabReal(c, n, core.Options{
 			NP: np, Granularity: gran, SingleComm: cfg.SingleComm,
 		})
-		s := spectral.NewSolverWithTransform(c, scfg, tr)
-		s.OwnTransform()
-		return s
 	case "threaded":
 		threads := cfg.Threads
 		if threads == 0 {
 			threads = 2
 		}
-		s := spectral.NewSolverWithTransform(c, scfg,
-			pfftThreaded(c, n, threads))
-		s.OwnTransform()
-		return s
+		tr = pfft.NewSlabRealWorkers(c, n, threads)
 	default:
-		return spectral.NewSolver(c, scfg)
+		return spectral.New(c, n, opts...)
 	}
-}
-
-// pfftThreaded isolates the pfft import for the threaded engine.
-func pfftThreaded(c *mpi.Comm, n, threads int) spectral.Transform {
-	return pfft.NewSlabRealThreaded(c, n, threads)
+	s := spectral.New(c, n, append(opts, spectral.WithTransform(tr))...)
+	s.OwnTransform()
+	return s
 }

@@ -10,7 +10,7 @@
 //
 // The equation set is pluggable: -system picks a registered system by
 // name (ns, forced-ns, rotating-scalar), or is inferred from -forced,
-// -force-eps and -rotation.
+// -force-eps, -rotation and -scalar.
 package main
 
 import (
@@ -98,7 +98,7 @@ func main() {
 			*system, strings.Join(spectral.Systems(), ", "))
 	}
 	if *forced && *forceEps == 0 {
-		*forceEps = 0.1
+		*forceEps = spectral.DefaultForcingEps
 	}
 	sch := spectral.RK2
 	if *scheme == "rk4" {
@@ -191,6 +191,9 @@ func main() {
 		if *rotation != 0 {
 			opts = append(opts, spectral.WithRotation(*rotation))
 		}
+		if *scalar {
+			opts = append(opts, spectral.WithScalars(1, *schmidt), spectral.WithScalarGradient(1))
+		}
 		if *system != "" {
 			opts = append(opts, spectral.WithSystem(*system))
 		}
@@ -239,14 +242,6 @@ func main() {
 			fmt.Printf("equation set: %s (%d fields)\n", solver.System().Name(), solver.Fields())
 		}
 		solver.SetRandomIsotropic(*k0, *e0, *seed)
-		var th *spectral.Scalar
-		if *scalar {
-			if solver.Fields() != 3 {
-				log.Fatalf("-scalar uses the legacy coupled stepper and needs a 3-field system; use -system rotating-scalar (WithScalars) instead")
-			}
-			th = solver.NewScalar(*nu / *schmidt)
-			th.MeanGrad = 1.0
-		}
 
 		timer := stats.NewStepTimer(c)
 		root := c.Rank() == 0
@@ -272,11 +267,7 @@ func main() {
 		}
 		for i := 0; i < *steps; i++ {
 			timer.Begin()
-			if th != nil {
-				solver.StepWithScalar(th, *dt)
-			} else {
-				solver.Step(*dt)
-			}
+			solver.Step(*dt)
 			wall := timer.End()
 			e := solver.Energy()
 			if root {
@@ -316,21 +307,15 @@ func main() {
 				fmt.Printf("  %-18s %.6g\n", d.Name, d.Value)
 			}
 		}
-		if th != nil {
-			v := solver.ScalarVariance(th)
-			chi := solver.ScalarDissipation(th)
+		if *scalar {
+			v := solver.FieldVariance(3)
+			chi := solver.FieldDissipation(3)
 			if root {
 				fmt.Printf("scalar: ⟨θ²⟩=%.5g  χ=%.5g  (Sc=%g)\n", v, chi, *schmidt)
 			}
 		}
 		if *ckptDir != "" {
-			var err error
-			if th != nil {
-				err = solver.SaveCheckpoint(*ckptDir, th)
-			} else {
-				err = solver.SaveCheckpoint(*ckptDir)
-			}
-			if err != nil {
+			if err := solver.SaveCheckpoint(*ckptDir); err != nil {
 				log.Fatalf("rank %d: checkpoint: %v", c.Rank(), err)
 			}
 			if root {

@@ -31,7 +31,7 @@ func main() {
 	}
 
 	mpi.Run(*ranks, func(c *mpi.Comm) {
-		s := spectral.NewSolver(c, spectral.Config{N: *n, Nu: *nu, Dealias: spectral.Dealias23})
+		s := spectral.New(c, *n, spectral.WithNu(*nu), spectral.WithDealias(spectral.Dealias23))
 		defer s.Close()
 		if err := s.LoadCheckpoint(*dir); err != nil {
 			log.Fatalf("rank %d: %v", c.Rank(), err)

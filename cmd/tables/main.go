@@ -84,7 +84,7 @@ func printAblations() {
 	fmt.Println("== Ablation: 1D slab vs 2D pencil decomposition for the GPU code (§3.1) ==")
 	fmt.Printf("%-8s %-8s %14s %16s %10s\n", "Nodes", "N", "1D slab (s)", "2D pencil (s)", "slab win")
 	for _, a := range core.AblateDecomposition() {
-		fmt.Printf("%-8d %-8d %14.2f %16.2f %9.0f%%\n", a.Nodes, a.N, a.Slab1D, a.Pencil2D, a.SlabWinPct)
+		fmt.Printf("%-8d %-8d %14.2f %16.2f %9.0f%%\n", a.Nodes, a.N, a.Slab1D, a.Pencil, a.SlabWinPct)
 	}
 	fmt.Println("\n== Ablation: host-memory contention on overlapped exchanges (§5.2) ==")
 	w, wo := core.AblateContention(12288, 1024)

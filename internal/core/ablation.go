@@ -105,8 +105,8 @@ func SimulateGPU2DPencilStep(c PerfConfig) StepResult {
 type DecompositionAblation struct {
 	Nodes, N   int
 	Slab1D     float64 // best slab configuration (cfg C)
-	Pencil2D   float64 // hypothetical 2D GPU code
-	SlabWinPct float64 // (Pencil2D/Slab1D − 1)·100
+	Pencil     float64 // hypothetical 2D-pencil GPU code
+	SlabWinPct float64 // (Pencil/Slab1D − 1)·100
 }
 
 // AblateDecomposition runs the comparison over the standard sweep.
@@ -117,7 +117,7 @@ func AblateDecomposition() []DecompositionAblation {
 		pencil := SimulateGPU2DPencilStep(DefaultPerf(cse.N, cse.Nodes, 6, PerSlab)).Time
 		out = append(out, DecompositionAblation{
 			Nodes: cse.Nodes, N: cse.N,
-			Slab1D: slab, Pencil2D: pencil,
+			Slab1D: slab, Pencil: pencil,
 			SlabWinPct: (pencil/slab - 1) * 100,
 		})
 	}

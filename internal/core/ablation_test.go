@@ -7,9 +7,9 @@ func TestSlabBeatsPencil2DEverywhere(t *testing.T) {
 	// traditional 2D pencil layout on dense-node machines — one large
 	// exchange instead of two smaller ones.
 	for _, a := range AblateDecomposition() {
-		if a.Slab1D >= a.Pencil2D {
+		if a.Slab1D >= a.Pencil {
 			t.Errorf("%d nodes: slab %.2f not faster than 2D pencil %.2f",
-				a.Nodes, a.Slab1D, a.Pencil2D)
+				a.Nodes, a.Slab1D, a.Pencil)
 		}
 		if a.SlabWinPct < 5 {
 			t.Errorf("%d nodes: slab advantage only %.1f%%, expected a clear win",

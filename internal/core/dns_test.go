@@ -16,7 +16,7 @@ import (
 // synchronous reference path or the batched asynchronous GPU pipeline.
 func TestDNSOnAsyncPipelineMatchesSync(t *testing.T) {
 	n, p := 16, 2
-	cfg := spectral.Config{N: n, Nu: 0.02, Scheme: spectral.RK2, Dealias: spectral.Dealias23}
+	opts := []spectral.Option{spectral.WithNu(0.02), spectral.WithScheme(spectral.RK2), spectral.WithDealias(spectral.Dealias23)}
 
 	type result struct {
 		uh     []complex128
@@ -31,9 +31,9 @@ func TestDNSOnAsyncPipelineMatchesSync(t *testing.T) {
 			if useAsync {
 				tr := NewAsyncSlabReal(c, n, Options{NP: 4, Granularity: gran})
 				defer tr.Close()
-				s = spectral.NewSolverWithTransform(c, cfg, tr)
+				s = spectral.New(c, n, append(opts, spectral.WithTransform(tr))...)
 			} else {
-				s = spectral.NewSolver(c, cfg)
+				s = spectral.New(c, n, opts...)
 			}
 			s.SetRandomIsotropic(3, 0.5, 77)
 			for i := 0; i < 3; i++ {

@@ -1,21 +1,28 @@
-// Package pfft implements the distributed three-dimensional Fourier
-// transforms of the paper on top of the in-process MPI runtime:
+// Package pfft implements the distributed three-dimensional real-field
+// Fourier transforms of the DNS on top of the in-process MPI runtime.
+// Both engines transform real physical fields into conjugate-symmetric
+// half-spectra (nxh = n/2+1 x bins), normalize by 1/N³ on the inverse,
+// run the paper's axis order (forward x, z, y; inverse y, z, x) and
+// implement the Real interface with bitwise-identical results:
 //
-//   - SlabC2C: complex transforms on the 1D slab decomposition the new
-//     GPU code adopts (one all-to-all per 3D transform).
-//   - SlabReal: the DNS variant — real fields in physical space,
-//     conjugate-symmetric half-spectra in Fourier space, with the
-//     paper's y,z,x transform ordering so that nonlinear products are
-//     formed on unit-stride real data.
-//   - PencilC2C: complex transforms on the 2D pencil decomposition
-//     used by the synchronous CPU baseline of Yeung et al. (two
-//     all-to-alls, on row and column communicators).
+//   - SlabReal: the 1D slab decomposition the paper's GPU code adopts,
+//     one y↔z transpose-exchange per 3D transform, with a worker team
+//     per rank, autotuned or pinned exchange strategies, an optional
+//     single-precision wire and an asynchrony-tolerant mode.
+//   - PencilReal: the Pr×Pc pencil decomposition, two
+//     transpose-exchanges per 3D transform (over the column and row
+//     communicators of the process grid); it runs past the slab
+//     engine's P ≤ N rank ceiling.
+//
+// NewRealTuned picks between them (and among exchange strategies)
+// through the whole-step autotuner.
 //
 // Layout conventions (x always fastest):
 //
-//	slab Fourier side:    [mz][ny][nx or nxh], z-distributed
-//	slab physical side:   [my][nz][nx],        y-distributed
-//	pencil layout A:      [mz][my][nx]  x complete (physical)
-//	pencil layout B:      [mz][mx][ny]  y complete, y fastest
-//	pencil layout C:      [my2][mx][nz] z complete, z fastest (Fourier)
+//	slab physical:    [my][nz][nx],     y-distributed over P ranks
+//	slab Fourier:     [mz][ny][nxh],    z-distributed over P ranks
+//	pencil physical:  [my][mz][nx],     y over Pr, z over Pc
+//	pencil Fourier:   [mz2][wc][ny],    y complete and fastest; z
+//	                                    re-split over Pr, x split
+//	                                    (unevenly) over Pc
 package pfft

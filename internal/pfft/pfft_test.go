@@ -1,91 +1,75 @@
 package pfft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/fft"
 	"repro/internal/mpi"
 )
 
-// globalField builds a deterministic global complex field indexed
-// [(iz*n+iy)*n+ix].
-func globalField(n int, seed int64) []complex128 {
+// globalRealField builds a deterministic global real field indexed
+// [(iz*n+iy)*n+ix] and its unnormalized forward spectrum from the
+// serial complex fft.Plan3D, the reference every distributed engine is
+// checked against.
+func globalRealField(n int, seed int64) (field []float64, spec []complex128) {
 	rng := rand.New(rand.NewSource(seed))
-	f := make([]complex128, n*n*n)
-	for i := range f {
-		f[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	field = make([]float64, n*n*n)
+	gc := make([]complex128, n*n*n)
+	for i := range field {
+		field[i] = rng.NormFloat64()
+		gc[i] = complex(field[i], 0)
 	}
-	return f
+	spec = make([]complex128, n*n*n)
+	fft.NewPlan3D(n, n, n).Forward(spec, gc)
+	return field, spec
 }
 
-func TestSlabC2CMatchesLocalPlan3D(t *testing.T) {
-	n, p := 8, 4
-	global := globalField(n, 1)
-	// Reference: full inverse 3D transform (Fourier→physical).
-	ref := make([]complex128, len(global))
-	fft.NewPlan3D(n, n, n).Inverse(ref, global)
-
-	mz, my := n/p, n/p
+// slabForwardMatches transforms field with SlabReal on p ranks and
+// compares each rank's half-spectrum against ref within tol.
+func slabForwardMatches(t *testing.T, n, p int, field []float64, ref []complex128, tol float64) {
+	t.Helper()
+	nxh := n/2 + 1
 	var mu sync.Mutex
-	results := make(map[int][]complex128)
+	four := make(map[int][]complex128)
 	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabC2C(c, n)
-		four := make([]complex128, f.LocalLen())
-		// Load the rank's z-slab from the global field.
-		for iz := 0; iz < mz; iz++ {
-			gz := c.Rank()*mz + iz
-			copy(four[iz*n*n:(iz+1)*n*n], global[gz*n*n:(gz+1)*n*n])
+		f := NewSlabReal(c, n)
+		defer f.Close()
+		my := f.Slab().MY()
+		// Physical layout [my][nz][nx], y-distributed.
+		phys := make([]float64, f.PhysicalLen())
+		for iy := 0; iy < my; iy++ {
+			gy := c.Rank()*my + iy
+			for iz := 0; iz < n; iz++ {
+				copy(phys[(iy*n+iz)*n:(iy*n+iz)*n+n], field[(iz*n+gy)*n:(iz*n+gy)*n+n])
+			}
 		}
-		phys := make([]complex128, f.LocalLen())
-		f.FourierToPhysical(phys, four)
+		out := make([]complex128, f.FourierLen())
+		f.PhysicalToFourier(out, phys)
 		mu.Lock()
-		cp := make([]complex128, len(phys))
-		copy(cp, phys)
-		results[c.Rank()] = cp
+		four[c.Rank()] = out
 		mu.Unlock()
 	})
+	mz := n / p
 	for r := 0; r < p; r++ {
-		phys := results[r]
-		for iy := 0; iy < my; iy++ {
-			gy := r*my + iy
-			for iz := 0; iz < n; iz++ {
-				for ix := 0; ix < n; ix++ {
-					want := ref[(iz*n+gy)*n+ix]
-					got := phys[(iy*n+iz)*n+ix]
-					if cmplx.Abs(got-want) > 1e-10 {
-						t.Fatalf("rank %d (x=%d y=%d z=%d): got %v want %v", r, ix, gy, iz, got, want)
+		for iz := 0; iz < mz; iz++ {
+			gz := r*mz + iz
+			for iy := 0; iy < n; iy++ {
+				for ix := 0; ix < nxh; ix++ {
+					want := ref[(gz*n+iy)*n+ix]
+					got := four[r][(iz*n+iy)*nxh+ix]
+					if cmplx.Abs(got-want) > tol {
+						t.Fatalf("slab p=%d rank %d: x=%d y=%d z=%d: %v vs %v", p, r, ix, iy, gz, got, want)
 					}
 				}
 			}
 		}
 	}
-}
-
-func TestSlabC2CRoundTrip(t *testing.T) {
-	n, p := 12, 3
-	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabC2C(c, n)
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 5))
-		orig := make([]complex128, f.LocalLen())
-		for i := range orig {
-			orig[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		four := make([]complex128, f.LocalLen())
-		copy(four, orig)
-		phys := make([]complex128, f.LocalLen())
-		f.FourierToPhysical(phys, four)
-		back := make([]complex128, f.LocalLen())
-		f.PhysicalToFourier(back, phys)
-		for i := range back {
-			if cmplx.Abs(back[i]-orig[i]) > 1e-9 {
-				t.Fatalf("rank %d element %d: %v vs %v", c.Rank(), i, back[i], orig[i])
-			}
-		}
-	})
 }
 
 func TestSlabRealRoundTrip(t *testing.T) {
@@ -115,73 +99,36 @@ func TestSlabRealMatchesComplexTransform(t *testing.T) {
 	// The half-spectrum of SlabReal must equal the first nxh x-bins of
 	// the full complex spectrum of the same real field.
 	n, p := 8, 2
-	nxh := n/2 + 1
-	mz := n / p
-	var mu sync.Mutex
-	fourHalf := make(map[int][]complex128)
-	fourFull := make(map[int][]complex128)
-	mpi.Run(p, func(c *mpi.Comm) {
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 3))
-		fr := NewSlabReal(c, n)
-		phys := make([]float64, fr.PhysicalLen())
-		for i := range phys {
-			phys[i] = rng.NormFloat64()
-		}
-		fourR := make([]complex128, fr.FourierLen())
-		fr.PhysicalToFourier(fourR, phys)
-
-		fc := NewSlabC2C(c, n)
-		physC := make([]complex128, fc.LocalLen())
-		for i, v := range phys {
-			physC[i] = complex(v, 0)
-		}
-		fourC := make([]complex128, fc.LocalLen())
-		fc.PhysicalToFourier(fourC, physC)
-
-		mu.Lock()
-		h := make([]complex128, len(fourR))
-		copy(h, fourR)
-		fourHalf[c.Rank()] = h
-		fl := make([]complex128, len(fourC))
-		copy(fl, fourC)
-		fourFull[c.Rank()] = fl
-		mu.Unlock()
-	})
-	for r := 0; r < p; r++ {
-		for iz := 0; iz < mz; iz++ {
-			for iy := 0; iy < n; iy++ {
-				for ix := 0; ix < nxh; ix++ {
-					want := fourFull[r][(iz*n+iy)*n+ix]
-					got := fourHalf[r][(iz*n+iy)*nxh+ix]
-					if cmplx.Abs(got-want) > 1e-9 {
-						t.Fatalf("rank %d z=%d y=%d x=%d: %v vs %v", r, iz, iy, ix, got, want)
-					}
-				}
-			}
-		}
-	}
+	field, ref := globalRealField(n, 3)
+	slabForwardMatches(t, n, p, field, ref, 1e-9)
 }
 
 func TestSlabParsevalAcrossRanks(t *testing.T) {
-	// Physical-space energy equals (1/N³)·Σ|û|² with û from the
-	// unnormalized forward transform — checked with a distributed sum.
+	// Physical-space energy equals (1/N³)·Σ w·|û|² with û from the
+	// unnormalized forward transform and w the half-spectrum weight
+	// (bins 0 < kx < N/2 stand for ±kx) — checked with a distributed
+	// sum.
 	n, p := 8, 4
 	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabC2C(c, n)
+		f := NewSlabReal(c, n)
+		defer f.Close()
 		rng := rand.New(rand.NewSource(int64(c.Rank()) + 17))
-		phys := make([]complex128, f.LocalLen())
-		for i := range phys {
-			phys[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
+		phys := make([]float64, f.PhysicalLen())
 		var ePhys float64
-		for _, v := range phys {
-			ePhys += real(v)*real(v) + imag(v)*imag(v)
+		for i := range phys {
+			phys[i] = rng.NormFloat64()
+			ePhys += phys[i] * phys[i]
 		}
-		four := make([]complex128, f.LocalLen())
+		four := make([]complex128, f.FourierLen())
 		f.PhysicalToFourier(four, phys)
+		nxh := f.NXH()
 		var eFour float64
-		for _, v := range four {
-			eFour += real(v)*real(v) + imag(v)*imag(v)
+		for i, v := range four {
+			w := 2.0
+			if ix := i % nxh; ix == 0 || ix == n/2 {
+				w = 1
+			}
+			eFour += w * (real(v)*real(v) + imag(v)*imag(v))
 		}
 		sums := []float64{ePhys, eFour}
 		mpi.AllreduceSum(c, sums)
@@ -192,133 +139,44 @@ func TestSlabParsevalAcrossRanks(t *testing.T) {
 	})
 }
 
-func TestPencilC2CMatchesLocalPlan3D(t *testing.T) {
-	n := 8
-	pr, pc := 2, 2
-	p := pr * pc
-	global := globalField(n, 2)
-	ref := make([]complex128, len(global))
-	fft.NewPlan3D(n, n, n).Forward(ref, global)
-
-	my, mz := n/pr, n/pc
-	mx, my2 := n/pr, n/pc
-	var mu sync.Mutex
-	results := make(map[int][]complex128)
-	mpi.Run(p, func(c *mpi.Comm) {
-		// rank = yGroup*pc + zGroup; commY groups equal zGroup.
-		yG := c.Rank() / pc
-		zG := c.Rank() % pc
-		commY := c.Split(zG, yG)
-		commZ := c.Split(pc+yG, zG)
-		f := NewPencilC2C(commY, commZ, n)
-		in := make([]complex128, f.LocalLen())
-		// Layout A: [mz][my][nx]; global y = yG*my+iy, z = zG*mz+iz.
-		for iz := 0; iz < mz; iz++ {
-			for iy := 0; iy < my; iy++ {
-				gz, gy := zG*mz+iz, yG*my+iy
-				copy(in[(iz*my+iy)*n:(iz*my+iy)*n+n], global[(gz*n+gy)*n:(gz*n+gy)*n+n])
-			}
-		}
-		out := make([]complex128, f.LocalLen())
-		f.PhysicalToFourier(out, in)
-		mu.Lock()
-		cp := make([]complex128, len(out))
-		copy(cp, out)
-		results[c.Rank()] = cp
-		mu.Unlock()
-	})
-	for r := 0; r < p; r++ {
-		yG, zG := r/pc, r%pc
-		out := results[r]
-		// Layout C: [my2][mx][nz]; global x = yG... x is distributed
-		// over the row communicator: gx = commY.Rank()*mx + ixl = yG*mx+ixl;
-		// global y = zG*my2 + iyl (distributed over commZ after BC).
-		for iyl := 0; iyl < my2; iyl++ {
-			for ixl := 0; ixl < mx; ixl++ {
-				for iz := 0; iz < n; iz++ {
-					gx, gy := yG*mx+ixl, zG*my2+iyl
-					want := ref[(iz*n+gy)*n+gx]
-					got := out[(iyl*mx+ixl)*n+iz]
-					if cmplx.Abs(got-want) > 1e-9 {
-						t.Fatalf("rank %d x=%d y=%d z=%d: got %v want %v", r, gx, gy, iz, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestPencilC2CRoundTrip(t *testing.T) {
-	n := 12
-	pr, pc := 3, 2
-	mpi.Run(pr*pc, func(c *mpi.Comm) {
-		yG := c.Rank() / pc
-		zG := c.Rank() % pc
-		commY := c.Split(zG, yG)
-		commZ := c.Split(pc+yG, zG)
-		f := NewPencilC2C(commY, commZ, n)
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 31))
-		orig := make([]complex128, f.LocalLen())
-		for i := range orig {
-			orig[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		in := make([]complex128, f.LocalLen())
-		copy(in, orig)
-		four := make([]complex128, f.LocalLen())
-		f.PhysicalToFourier(four, in)
-		back := make([]complex128, f.LocalLen())
-		f.FourierToPhysical(back, four)
-		for i := range back {
-			if cmplx.Abs(back[i]-orig[i]) > 1e-9 {
-				t.Fatalf("rank %d element %d not restored", c.Rank(), i)
-			}
-		}
-	})
-}
-
 func TestSlabAndPencilAgree(t *testing.T) {
-	// The same global field transformed by the slab code on 2 ranks and
-	// the pencil code on 4 ranks must give identical spectra.
+	// The same global field transformed by the slab engine on 2 ranks
+	// and the pencil engine on a 2×2 grid must both give the serial
+	// reference spectrum.
 	n := 8
-	global := globalField(n, 7)
-	ref := make([]complex128, len(global))
-	fft.NewPlan3D(n, n, n).Forward(ref, global)
+	field, ref := globalRealField(n, 7)
+	slabForwardMatches(t, n, 2, field, ref, 1e-9)
 
-	// Slab physical layout: [my][nz][nx] with y-distributed physical
-	// space; PhysicalToFourier → [mz][ny][nx].
-	p := 2
-	mz, my := n/p, n/p
-	var mu sync.Mutex
-	slabOut := make(map[int][]complex128)
-	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabC2C(c, n)
-		phys := make([]complex128, f.LocalLen())
-		for iy := 0; iy < my; iy++ {
-			gy := c.Rank()*my + iy
-			for iz := 0; iz < n; iz++ {
-				copy(phys[(iy*n+iz)*n:(iy*n+iz)*n+n], global[(iz*n+gy)*n:(iz*n+gy)*n+n])
+	const pr, pc = 2, 2
+	mpi.Run(pr*pc, func(c *mpi.Comm) {
+		row, col := c.CartGrid(pr, pc)
+		f := NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))
+		defer f.Close()
+		l := f.Layout()
+		// Physical layout [my][mz][nx].
+		phys := make([]float64, f.PhysicalLen())
+		for iy := 0; iy < l.My; iy++ {
+			gy := l.YRank*l.My + iy
+			for iz := 0; iz < l.Mz; iz++ {
+				gz := l.ZRank*l.Mz + iz
+				copy(phys[(iy*l.Mz+iz)*n:(iy*l.Mz+iz)*n+n], field[(gz*n+gy)*n:(gz*n+gy)*n+n])
 			}
 		}
-		four := make([]complex128, f.LocalLen())
+		four := make([]complex128, f.FourierLen())
 		f.PhysicalToFourier(four, phys)
-		mu.Lock()
-		cp := make([]complex128, len(four))
-		copy(cp, four)
-		slabOut[c.Rank()] = cp
-		mu.Unlock()
-	})
-	for r := 0; r < p; r++ {
-		for iz := 0; iz < mz; iz++ {
-			gz := r*mz + iz
-			for iy := 0; iy < n; iy++ {
-				for ix := 0; ix < n; ix++ {
-					want := ref[(gz*n+iy)*n+ix]
-					got := slabOut[r][(iz*n+iy)*n+ix]
+		// Spectral layout [mz2][wc][ny], y complete.
+		for iz := 0; iz < l.Mz2; iz++ {
+			gz := l.YRank*l.Mz2 + iz
+			for ix := 0; ix < l.Wc; ix++ {
+				gx := l.XLo + ix
+				for gy := 0; gy < n; gy++ {
+					want := ref[(gz*n+gy)*n+gx]
+					got := four[(iz*l.Wc+ix)*n+gy]
 					if cmplx.Abs(got-want) > 1e-9 {
-						t.Fatalf("slab rank %d: mismatch at x=%d y=%d z=%d", r, ix, iy, gz)
+						panic(fmt.Sprintf("pencil rank %d: x=%d y=%d z=%d: %v vs %v", c.Rank(), gx, gy, gz, got, want))
 					}
 				}
 			}
 		}
-	}
+	})
 }

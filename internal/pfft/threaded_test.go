@@ -16,7 +16,7 @@ func TestThreadedMatchesSerialExactly(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		mpi.Run(p, func(c *mpi.Comm) {
 			ref := NewSlabReal(c, n)
-			thr := NewSlabRealThreaded(c, n, threads)
+			thr := NewSlabRealWorkers(c, n, threads)
 			if thr.Threads() != threads {
 				t.Fatalf("team size %d", thr.Threads())
 			}
@@ -51,7 +51,7 @@ func TestThreadedMatchesSerialExactly(t *testing.T) {
 
 func TestThreadedRoundTrip(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		f := NewSlabRealThreaded(c, 8, 3)
+		f := NewSlabRealWorkers(c, 8, 3)
 		rng := rand.New(rand.NewSource(int64(c.Rank())))
 		phys := make([]float64, f.PhysicalLen())
 		for i := range phys {
@@ -77,7 +77,7 @@ func TestThreadedHybridConfigurationsAgree(t *testing.T) {
 	spectra := map[string][]complex128{}
 	run := func(label string, ranks, threads int) {
 		mpi.Run(ranks, func(c *mpi.Comm) {
-			f := NewSlabRealThreaded(c, n, threads)
+			f := NewSlabRealWorkers(c, n, threads)
 			// Build the same global field on every layout.
 			phys := make([]float64, f.PhysicalLen())
 			my := f.Slab().MY()

@@ -29,7 +29,10 @@ const (
 	// values restore it exactly), and it serializes all registry
 	// fields generically rather than assuming the 3-velocity layout.
 	// Version-1 files remain readable for the plain "ns" system they
-	// were all written under; writes always produce version 2.
+	// were all written under; writes always produce version 2. Files
+	// from the removed coupled-scalar path, which appended scalar
+	// payloads after the system fields, record more fields than their
+	// system has and fail the field-count check.
 	ckptVersion = 2
 )
 
@@ -42,7 +45,7 @@ type ckptHeader struct {
 	Step    uint64
 	Time    float64
 	Nu      float64
-	Fields  uint64 // system fields + optional legacy scalars
+	Fields  uint64 // system fields
 }
 
 // ckptForcing is the serialized StochasticForcing controller state.
@@ -53,15 +56,24 @@ type ckptForcing struct {
 	Seed  int64
 }
 
-// forcingHolder is the accessor a forced system exposes (ForcedNS
-// does); the checkpoint uses it to round-trip controller state.
+// forcingHolder is the accessor a forceable system exposes (ForcedNS
+// and RotatingScalarNS do); the checkpoint uses it to round-trip
+// controller state. A nil controller means the system runs unforced.
 type forcingHolder interface {
 	Forcing() *StochasticForcing
 }
 
-// WriteCheckpointTo serializes this rank's state to w. scalars may be
-// empty.
-func (s *Solver) WriteCheckpointTo(w io.Writer, scalars ...*Scalar) error {
+// forcing returns the solver's forcing controller, nil when the system
+// has none or runs unforced.
+func (s *Solver) forcing() *StochasticForcing {
+	if fh, ok := s.sys.(forcingHolder); ok {
+		return fh.Forcing()
+	}
+	return nil
+}
+
+// WriteCheckpointTo serializes this rank's state to w.
+func (s *Solver) WriteCheckpointTo(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	crc := crc32.NewIEEE()
 	out := io.MultiWriter(bw, crc)
@@ -74,7 +86,7 @@ func (s *Solver) WriteCheckpointTo(w io.Writer, scalars ...*Scalar) error {
 		Step:    uint64(s.step),
 		Time:    s.time,
 		Nu:      s.cfg.Nu,
-		Fields:  uint64(s.nf + len(scalars)),
+		Fields:  uint64(s.nf),
 	}
 	if err := binary.Write(out, binary.LittleEndian, &hdr); err != nil {
 		return fmt.Errorf("checkpoint header: %w", err)
@@ -88,8 +100,7 @@ func (s *Solver) WriteCheckpointTo(w io.Writer, scalars ...*Scalar) error {
 	}
 	var present uint32
 	var fstate ckptForcing
-	if fh, ok := s.sys.(forcingHolder); ok {
-		f := fh.Forcing()
+	if f := s.forcing(); f != nil {
 		present = 1
 		fstate = ckptForcing{KF: uint64(f.KF), Eps: f.Eps, TCorr: f.TCorr, Seed: f.Seed}
 	}
@@ -106,14 +117,6 @@ func (s *Solver) WriteCheckpointTo(w io.Writer, scalars ...*Scalar) error {
 			return fmt.Errorf("checkpoint field %d: %w", c, err)
 		}
 	}
-	for i, sc := range scalars {
-		if err := binary.Write(out, binary.LittleEndian, complex(sc.kappa, sc.MeanGrad)); err != nil {
-			return fmt.Errorf("checkpoint scalar %d params: %w", i, err)
-		}
-		if err := binary.Write(out, binary.LittleEndian, sc.Th); err != nil {
-			return fmt.Errorf("checkpoint scalar %d: %w", i, err)
-		}
-	}
 	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
 		return fmt.Errorf("checkpoint crc: %w", err)
 	}
@@ -121,10 +124,10 @@ func (s *Solver) WriteCheckpointTo(w io.Writer, scalars ...*Scalar) error {
 }
 
 // ReadCheckpointFrom restores this rank's state from r, validating
-// geometry, rank identity and the CRC. The solver must already be
-// constructed with a matching configuration; scalars must match the
-// count written.
-func (s *Solver) ReadCheckpointFrom(r io.Reader, scalars ...*Scalar) error {
+// geometry, rank identity, system, forcing presence, field count and
+// the CRC. The solver must already be constructed with a matching
+// configuration.
+func (s *Solver) ReadCheckpointFrom(r io.Reader) error {
 	crc := crc32.NewIEEE()
 	in := io.TeeReader(bufio.NewReader(r), crc)
 	var hdr ckptHeader
@@ -170,36 +173,25 @@ func (s *Solver) ReadCheckpointFrom(r io.Reader, scalars ...*Scalar) error {
 		if err := binary.Read(in, binary.LittleEndian, &present); err != nil {
 			return fmt.Errorf("checkpoint forcing flag: %w", err)
 		}
+		f := s.forcing()
 		if present == 1 {
 			var fstate ckptForcing
 			if err := binary.Read(in, binary.LittleEndian, &fstate); err != nil {
 				return fmt.Errorf("checkpoint forcing state: %w", err)
 			}
-			fh, ok := s.sys.(forcingHolder)
-			if !ok {
+			if f == nil {
 				return fmt.Errorf("checkpoint: file records forcing state but system %q has no forcing controller", s.sys.Name())
 			}
-			f := fh.Forcing()
 			f.KF, f.Eps, f.TCorr, f.Seed = int(fstate.KF), fstate.Eps, fstate.TCorr, fstate.Seed
 		}
 		nf = s.nf
 	}
-	if hdr.Fields != uint64(nf+len(scalars)) {
-		return fmt.Errorf("checkpoint: %d fields written, %d expected", hdr.Fields, nf+len(scalars))
+	if hdr.Fields != uint64(nf) {
+		return fmt.Errorf("checkpoint: %d fields written, %d expected", hdr.Fields, nf)
 	}
 	for c := 0; c < nf; c++ {
 		if err := binary.Read(in, binary.LittleEndian, s.state[c]); err != nil {
 			return fmt.Errorf("checkpoint field %d: %w", c, err)
-		}
-	}
-	for i, sc := range scalars {
-		var params complex128
-		if err := binary.Read(in, binary.LittleEndian, &params); err != nil {
-			return fmt.Errorf("checkpoint scalar %d params: %w", i, err)
-		}
-		sc.kappa, sc.MeanGrad = real(params), imag(params)
-		if err := binary.Read(in, binary.LittleEndian, sc.Th); err != nil {
-			return fmt.Errorf("checkpoint scalar %d: %w", i, err)
 		}
 	}
 	// Snapshot the digest of the payload, then read the trailer (the
@@ -224,7 +216,7 @@ func ckptPath(dir string, rank int) string {
 
 // SaveCheckpoint writes one file per rank under dir (collective: every
 // rank must call it; dir is created if needed).
-func (s *Solver) SaveCheckpoint(dir string, scalars ...*Scalar) error {
+func (s *Solver) SaveCheckpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -232,7 +224,7 @@ func (s *Solver) SaveCheckpoint(dir string, scalars ...*Scalar) error {
 	if err != nil {
 		return err
 	}
-	werr := s.WriteCheckpointTo(f, scalars...)
+	werr := s.WriteCheckpointTo(f)
 	cerr := f.Close()
 	s.comm.Barrier() // checkpoint is complete only when every rank is done
 	if werr != nil {
@@ -242,13 +234,13 @@ func (s *Solver) SaveCheckpoint(dir string, scalars ...*Scalar) error {
 }
 
 // LoadCheckpoint restores this rank's state from dir (collective).
-func (s *Solver) LoadCheckpoint(dir string, scalars ...*Scalar) error {
+func (s *Solver) LoadCheckpoint(dir string) error {
 	f, err := os.Open(ckptPath(dir, s.slab.Rank))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	rerr := s.ReadCheckpointFrom(f, scalars...)
+	rerr := s.ReadCheckpointFrom(f)
 	s.comm.Barrier()
 	return rerr
 }

@@ -15,7 +15,7 @@ import (
 
 func TestCheckpointRoundTripInMemory(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		s.SetRandomIsotropic(3, 0.5, 1)
 		for i := 0; i < 2; i++ {
 			s.Step(0.004)
@@ -24,7 +24,7 @@ func TestCheckpointRoundTripInMemory(t *testing.T) {
 		if err := s.WriteCheckpointTo(&buf); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		s2 := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s2 := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		if err := s2.ReadCheckpointFrom(&buf); err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -46,10 +46,10 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 	// restore into a fresh solver, 3 more. Same fields (bitwise).
 	dir := t.TempDir()
 	n := 16
-	cfg := Config{N: n, Nu: 0.02, Scheme: RK2, Dealias: Dealias23}
+	opts := []Option{WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23)}
 	var straight []complex128
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, cfg)
+		s := New(c, n, opts...)
 		s.SetRandomIsotropic(3, 0.5, 11)
 		for i := 0; i < 6; i++ {
 			s.Step(0.004)
@@ -60,7 +60,7 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 	})
 	var restarted []complex128
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, cfg)
+		s := New(c, n, opts...)
 		s.SetRandomIsotropic(3, 0.5, 11)
 		for i := 0; i < 3; i++ {
 			s.Step(0.004)
@@ -68,7 +68,7 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 		if err := s.SaveCheckpoint(dir); err != nil {
 			t.Errorf("save: %v", err)
 		}
-		s2 := NewSolver(c, cfg)
+		s2 := New(c, n, opts...)
 		if err := s2.LoadCheckpoint(dir); err != nil {
 			t.Errorf("load: %v", err)
 		}
@@ -89,36 +89,108 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 	}
 }
 
+// A forced scalar-carrying run must continue bitwise identically
+// across a restart, scalars and forcing state included, and its
+// checkpoint must not restore into an unforced solver of the same
+// system, which would silently drop the forcing.
 func TestCheckpointWithScalars(t *testing.T) {
-	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+	dir := t.TempDir()
+	const n, steps = 8, 3
+	opts := []Option{WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23),
+		WithForcing(2, 0.1), WithForcingNoise(0.5, 9), WithScalars(1, 0.7), WithScalarGradient(2.5)}
+	start := func(s *Solver) {
 		s.SetRandomIsotropic(2, 0.4, 3)
-		sc := s.NewScalar(0.07)
-		sc.MeanGrad = 2.5
-		s.SetScalarBlob(sc, 2, 0.3, 5)
-		var buf bytes.Buffer
-		if err := s.WriteCheckpointTo(&buf, sc); err != nil {
-			t.Fatalf("write: %v", err)
+		s.SetFieldBlob(3, 2, 0.3, 5)
+	}
+	var straight [][]complex128
+	mpi.Run(2, func(c *mpi.Comm) {
+		s := New(c, n, opts...)
+		start(s)
+		for i := 0; i < 2*steps; i++ {
+			s.Step(0.004)
 		}
-		s2 := NewSolver(c, Config{N: 8, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
-		sc2 := s2.NewScalar(0)
-		if err := s2.ReadCheckpointFrom(&buf, sc2); err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		if sc2.kappa != 0.07 || sc2.MeanGrad != 2.5 {
-			t.Errorf("scalar params: κ=%g G=%g", sc2.kappa, sc2.MeanGrad)
-		}
-		for i := range sc.Th {
-			if sc.Th[i] != sc2.Th[i] {
-				t.Fatalf("scalar element %d differs", i)
+		if c.Rank() == 0 {
+			for f := 0; f < s.Fields(); f++ {
+				straight = append(straight, append([]complex128(nil), s.Field(f)...))
 			}
+		}
+	})
+	var restarted [][]complex128
+	mpi.Run(2, func(c *mpi.Comm) {
+		s := New(c, n, opts...)
+		if s.System().Name() != "rotating-scalar" || s.Fields() != 4 {
+			t.Fatalf("system %q with %d fields, want rotating-scalar with 4", s.System().Name(), s.Fields())
+		}
+		start(s)
+		for i := 0; i < steps; i++ {
+			s.Step(0.004)
+		}
+		if err := s.SaveCheckpoint(dir); err != nil {
+			t.Errorf("save: %v", err)
+		}
+		s2 := New(c, n, opts...)
+		if err := s2.LoadCheckpoint(dir); err != nil {
+			t.Errorf("load: %v", err)
+		}
+		for i := 0; i < steps; i++ {
+			s2.Step(0.004)
+		}
+		if c.Rank() == 0 {
+			for f := 0; f < s2.Fields(); f++ {
+				restarted = append(restarted, append([]complex128(nil), s2.Field(f)...))
+			}
+		}
+
+		unforced := New(c, n, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23),
+			WithScalars(1, 0.7), WithScalarGradient(2.5))
+		err := unforced.LoadCheckpoint(dir)
+		if err == nil || !strings.Contains(err.Error(), "no forcing controller") {
+			t.Errorf("forced checkpoint into unforced solver not rejected: %v", err)
+		}
+	})
+	for f := range straight {
+		for i := range straight[f] {
+			if straight[f][i] != restarted[f][i] {
+				t.Fatalf("restart diverged in field %d at element %d", f, i)
+			}
+		}
+	}
+}
+
+// A version-2 file written by the removed coupled-scalar path carries
+// one trailing scalar payload (diffusivity, mean gradient, field)
+// after the system fields; it must fail the field-count check rather
+// than restore the velocity and drop the scalar.
+func TestCheckpointRejectsLegacyScalarPayload(t *testing.T) {
+	mpi.Run(1, func(c *mpi.Comm) {
+		s := New(c, 8, WithNu(0.02))
+		s.SetRandomIsotropic(2, 0.4, 3)
+		var buf bytes.Buffer
+		crc := crc32.NewIEEE()
+		out := io.MultiWriter(&buf, crc)
+		hdr := ckptHeader{Magic: ckptMagic, Version: ckptVersion, N: 8, Ranks: 1,
+			Time: s.time, Nu: s.cfg.Nu, Fields: 4}
+		binary.Write(out, binary.LittleEndian, &hdr)
+		binary.Write(out, binary.LittleEndian, uint32(2))
+		out.Write([]byte("ns"))
+		binary.Write(out, binary.LittleEndian, uint32(0)) // no forcing
+		for f := 0; f < 3; f++ {
+			binary.Write(out, binary.LittleEndian, s.Field(f))
+		}
+		binary.Write(out, binary.LittleEndian, complex(0.07, 2.5))
+		binary.Write(out, binary.LittleEndian, s.Field(0))
+		binary.Write(&buf, binary.LittleEndian, crc.Sum32())
+
+		err := New(c, 8, WithNu(0.02)).ReadCheckpointFrom(&buf)
+		if err == nil || !strings.Contains(err.Error(), "4 fields written, 3 expected") {
+			t.Errorf("legacy scalar payload not rejected: %v", err)
 		}
 	})
 }
 
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.02})
+		s := New(c, 8, WithNu(0.02))
 		s.SetRandomIsotropic(2, 0.4, 3)
 		var buf bytes.Buffer
 		if err := s.WriteCheckpointTo(&buf); err != nil {
@@ -126,7 +198,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		}
 		data := buf.Bytes()
 		data[len(data)/2] ^= 0xFF // flip a payload bit
-		s2 := NewSolver(c, Config{N: 8, Nu: 0.02})
+		s2 := New(c, 8, WithNu(0.02))
 		err := s2.ReadCheckpointFrom(bytes.NewReader(data))
 		if err == nil || !strings.Contains(err.Error(), "crc") {
 			t.Errorf("corruption not detected: %v", err)
@@ -137,7 +209,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 	var blob []byte
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.02})
+		s := New(c, 8, WithNu(0.02))
 		var buf bytes.Buffer
 		if err := s.WriteCheckpointTo(&buf); err != nil {
 			t.Fatal(err)
@@ -145,7 +217,7 @@ func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 		blob = buf.Bytes()
 	})
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02})
+		s := New(c, 16, WithNu(0.02))
 		err := s.ReadCheckpointFrom(bytes.NewReader(blob))
 		if err == nil || !strings.Contains(err.Error(), "N=8") {
 			t.Errorf("geometry mismatch not detected: %v", err)
@@ -153,7 +225,7 @@ func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 	})
 	// Wrong rank count.
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.02})
+		s := New(c, 8, WithNu(0.02))
 		err := s.ReadCheckpointFrom(bytes.NewReader(blob))
 		if err == nil {
 			t.Error("rank-count mismatch not detected")
@@ -163,7 +235,7 @@ func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 
 func TestCheckpointRejectsBadMagic(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.02})
+		s := New(c, 8, WithNu(0.02))
 		err := s.ReadCheckpointFrom(bytes.NewReader(make([]byte, 128)))
 		if err == nil || !strings.Contains(err.Error(), "magic") {
 			t.Errorf("bad magic not detected: %v", err)
@@ -175,13 +247,13 @@ func TestCheckpointEnergyPreserved(t *testing.T) {
 	dir := t.TempDir()
 	var e1, e2 float64
 	mpi.Run(4, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		s.SetRandomIsotropic(3, 0.5, 77)
 		e := s.Energy()
 		if err := s.SaveCheckpoint(dir); err != nil {
 			t.Fatal(err)
 		}
-		s2 := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s2 := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		if err := s2.LoadCheckpoint(dir); err != nil {
 			t.Fatal(err)
 		}

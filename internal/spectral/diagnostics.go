@@ -90,7 +90,7 @@ func (s *Solver) FieldVariance(c int) float64 {
 
 // FieldDissipation returns the diffusive destruction rate of field c,
 // χ = 2κ_c·Σ k²·E_f(k) (so for a scalar, d⟨θ²⟩/dt = −2χ in pure
-// decay, matching ScalarDissipation's convention; collective).
+// decay; collective).
 func (s *Solver) FieldDissipation(c int) float64 {
 	kappa := s.sys.Diffusivity(c)
 	return kappa * s.fieldModeSum(s.state[c], func(k2 float64) float64 { return k2 })
@@ -110,7 +110,17 @@ func (s *Solver) Enstrophy() float64 {
 // Spectrum returns the shell-summed energy spectrum E(k) for integer
 // shells k = 0…N/2, with shell k collecting modes with |k| in
 // [k−½, k+½) (collective).
-func (s *Solver) Spectrum() []float64 {
+func (s *Solver) Spectrum() []float64 { return s.shellSpectrum(s.state[:3]) }
+
+// FieldSpectrum returns the shell-summed spectrum of spectral field c,
+// binned like Spectrum and normalized so that ΣE_c(k) = ⟨f²⟩/2 — for
+// a scalar-carrying system's field 3… the scalar spectrum E_θ(k)
+// (collective).
+func (s *Solver) FieldSpectrum(c int) []float64 { return s.shellSpectrum(s.state[c : c+1]) }
+
+// shellSpectrum bins ½·Σ_f |f̂|² over integer wavenumber shells for
+// the given fields and reduces over ranks (collective).
+func (s *Solver) shellSpectrum(fields [][]complex128) []float64 {
 	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
 	n3 := float64(n) * float64(n) * float64(n)
 	inv := 1 / (n3 * n3)
@@ -127,8 +137,8 @@ func (s *Solver) Spectrum() []float64 {
 				shell := int(k + 0.5)
 				if shell < len(spec) {
 					var e float64
-					for c := 0; c < 3; c++ {
-						v := s.Uh[c][idx]
+					for _, f := range fields {
+						v := f[idx]
 						e += real(v)*real(v) + imag(v)*imag(v)
 					}
 					spec[shell] += 0.5 * specWeight(ix, n) * e * inv
@@ -201,7 +211,7 @@ func (s *Solver) CFL(dt float64) float64 {
 // Galerkin-truncated system this is zero to round-off — the invariant
 // tested by the energy-conservation tests (collective).
 func (s *Solver) NonlinearEnergyTransfer() float64 {
-	s.nonlinear(&s.Uh)
+	s.nonlinear(s.state[:3])
 	n := s.cfg.N
 	n3 := float64(n) * float64(n) * float64(n)
 	inv := 1 / (n3 * n3)

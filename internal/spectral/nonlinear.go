@@ -12,12 +12,11 @@ import (
 var prodPairs = [6][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}}
 
 // nonlinear evaluates the dealiased, projected divergence-form
-// velocity nonlinear term into s.nl[0:3] — the legacy 3-field entry
-// point kept for the coupled-scalar step and diagnostics. Systems
-// compose velocityProducts/addCoriolis/projectAndDealias directly.
-func (s *Solver) nonlinear(u *[3][]complex128) {
-	s.wrap3[0], s.wrap3[1], s.wrap3[2] = u[0], u[1], u[2]
-	s.velocityProducts(s.wrap3, s.nl)
+// nonlinear term of the velocity u[0:3] into s.nl[0:3], for the
+// velocity diagnostics. Systems compose velocityProducts/addCoriolis/
+// projectAndDealias directly.
+func (s *Solver) nonlinear(u [][]complex128) {
+	s.velocityProducts(u, s.nl)
 	s.projectAndDealias(s.nl)
 }
 

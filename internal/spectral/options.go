@@ -11,11 +11,11 @@ import (
 
 // Option configures New. The zero configuration is an inviscid,
 // undealiased RK2 decaying-NS solver on the synchronous slab
-// transform — the same defaults as the zero Config.
+// transform.
 type Option func(*solverOptions)
 
 type solverOptions struct {
-	cfg     Config
+	cfg     config
 	tr      Transform
 	sys     System
 	sysName string
@@ -76,7 +76,8 @@ func WithSystemInstance(sys System) Option {
 
 // WithForcing enables stochastic large-scale forcing over shells
 // k ≤ kf with energy injection rate eps. Unless a system is named
-// explicitly, this selects "forced-ns".
+// explicitly, this selects "forced-ns", or "rotating-scalar" (which
+// honours the forcing) when scalars or rotation are also given.
 func WithForcing(kf int, eps float64) Option {
 	return func(o *solverOptions) {
 		o.spec.Forcing.KF = kf
@@ -123,15 +124,6 @@ func WithScalarGradient(g float64) Option {
 // system is named explicitly, this selects "rotating-scalar".
 func WithRotation(omega float64) Option {
 	return func(o *solverOptions) { o.spec.Omega = omega }
-}
-
-// WithBandForcing attaches the legacy deterministic band forcing
-// (freeze shells 1…kf at their initial energies) as a post-step hook.
-//
-// Deprecated: use WithForcing, whose controller is allocation-free and
-// injects at a prescribed rate.
-func WithBandForcing(kf int) Option {
-	return func(o *solverOptions) { o.cfg.Forcing = NewForcing(kf) }
 }
 
 // WithDecomposition declares the field decomposition the solver runs
@@ -243,7 +235,7 @@ func New(comm *mpi.Comm, n int, opts ...Option) *Solver {
 		}
 		ownTr = true
 	}
-	s := newSolverAT(comm, o.cfg, tr, sys, o.atStale >= 0)
+	s := newSolver(comm, o.cfg, tr, sys, o.atStale >= 0)
 	s.ownTr = ownTr
 	return s
 }

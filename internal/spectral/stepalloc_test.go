@@ -7,13 +7,14 @@ import (
 )
 
 // stepAllocs measures rank 0's steady-state heap allocations per Step
-// for the given configuration; peer ranks execute the same collective
-// sequence runs+1 times to match AllocsPerRun's call count.
-func stepAllocs(t *testing.T, cfg Config, p, runs int) float64 {
+// for the given options from a Taylor–Green start; peer ranks execute
+// the same collective sequence runs+1 times to match AllocsPerRun's
+// call count.
+func stepAllocs(t *testing.T, n, p, runs int, opts ...Option) float64 {
 	t.Helper()
 	var avg float64
 	mpi.Run(p, func(c *mpi.Comm) {
-		s := NewSolver(c, cfg)
+		s := New(c, n, opts...)
 		s.SetTaylorGreen()
 		avg = measureStepAllocs(c, s, runs)
 	})
@@ -59,15 +60,15 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 		t.Skip("multi-step DNS loop in -short mode")
 	}
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name   string
+		scheme Scheme
 	}{
-		{"rk2", Config{N: 16, Nu: 0.01, Scheme: RK2, Dealias: Dealias23}},
-		{"rk4", Config{N: 16, Nu: 0.01, Scheme: RK4, Dealias: Dealias23}},
+		{"rk2", RK2},
+		{"rk4", RK4},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if avg := stepAllocs(t, tc.cfg, 2, 10); avg != 0 {
+			if avg := stepAllocs(t, 16, 2, 10, WithNu(0.01), WithScheme(tc.scheme), WithDealias(Dealias23)); avg != 0 {
 				t.Fatalf("steady-state %s step allocates %.2f per call", tc.name, avg)
 			}
 		})
@@ -94,6 +95,7 @@ func TestStepSystemsZeroAllocs(t *testing.T) {
 		{"ns", []Option{WithSystem("ns")}},
 		{"forced-ns", []Option{WithForcing(2, 0.05), WithForcingNoise(0.5, 3)}},
 		{"rotating-scalar", []Option{WithRotation(2.0), WithScalars(2, 1.0, 0.7), WithScalarGradient(1.0)}},
+		{"forced-rotating-scalar", []Option{WithForcing(2, 0.05), WithForcingNoise(0.5, 3), WithScalars(1)}},
 	}
 	for _, sys := range systems {
 		for _, sch := range schemes {

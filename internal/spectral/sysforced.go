@@ -24,6 +24,7 @@ func init() {
 }
 
 func newForcedNS(spec SystemSpec) System {
+	rejectSpec("forced-ns", spec, true, false, false)
 	return &ForcedNS{
 		nu:      spec.Nu,
 		forcing: NewStochasticForcing(spec.Forcing),
@@ -104,6 +105,11 @@ type StochasticForcing struct {
 	red *mpi.ReducePlan
 	buf []float64
 }
+
+// DefaultForcingEps is the energy injection rate the commands use
+// when forcing is requested without a rate (cmd/dns -forced,
+// cmd/campaign forcingShells).
+const DefaultForcingEps = 0.1
 
 // NewStochasticForcing builds the controller from a spec. KF defaults
 // to 2 (the standard production choice) when unset.

@@ -14,6 +14,7 @@ func init() {
 }
 
 func newNavierStokes(spec SystemSpec) System {
+	rejectSpec("ns", spec, false, false, false)
 	return &NavierStokes{nu: spec.Nu}
 }
 

@@ -1,5 +1,10 @@
 package spectral
 
+import (
+	"fmt"
+	"math"
+)
+
 // RotatingScalarNS is incompressible Navier–Stokes in a frame rotating
 // about ẑ at rate Ω, carrying any number of passive scalars with
 // per-scalar Schmidt numbers and optional imposed mean gradients:
@@ -17,10 +22,16 @@ package spectral
 // velocityProducts and reused for every scalar's advective flux, so
 // each scalar adds only 1 inverse + 3 forward transforms — the
 // companion-workload accounting of the paper's §3.3.
+//
+// With WithForcing the system also carries the StochasticForcing
+// controller of "forced-ns", applied to the velocity after every step:
+// forced stationary mixing. Without it the controller is nil and the
+// step runs no forcing code.
 type RotatingScalarNS struct {
 	nu      float64
 	omega   float64
 	scalars []scalarField
+	forcing *StochasticForcing // nil when unforced
 
 	physTh []float64 // one scalar in physical space (scratch)
 }
@@ -37,9 +48,17 @@ func init() {
 
 func newRotatingScalarNS(spec SystemSpec) System {
 	y := &RotatingScalarNS{nu: spec.Nu, omega: spec.Omega}
-	for _, sp := range spec.Scalars {
+	if spec.Forcing != (ForcingSpec{}) {
+		y.forcing = NewStochasticForcing(spec.Forcing)
+	}
+	for i, sp := range spec.Scalars {
+		// Sc = 0 means the documented default Sc = 1 (κ = ν); +Inf
+		// gives a non-diffusive scalar (κ = 0).
 		kappa := spec.Nu
-		if sp.Schmidt > 0 {
+		switch {
+		case sp.Schmidt < 0 || math.IsNaN(sp.Schmidt):
+			panic(fmt.Sprintf("spectral: scalar %d: invalid Schmidt number %g (need Sc ≥ 0)", i, sp.Schmidt))
+		case sp.Schmidt > 0:
 			kappa = spec.Nu / sp.Schmidt
 		}
 		y.scalars = append(y.scalars, scalarField{kappa: kappa, meanGrad: sp.MeanGrad})
@@ -53,10 +72,14 @@ func (y *RotatingScalarNS) Name() string { return "rotating-scalar" }
 // Fields implements System: velocity plus one field per scalar.
 func (y *RotatingScalarNS) Fields() int { return 3 + len(y.scalars) }
 
-// Setup implements System: binds the scalar's physical-space scratch.
+// Setup implements System: binds the scalar's physical-space scratch
+// and registers the forcing's persistent reduction (collective).
 func (y *RotatingScalarNS) Setup(s *Solver) {
 	if len(y.scalars) > 0 {
 		y.physTh = make([]float64, s.tr.PhysicalLen())
+	}
+	if y.forcing != nil {
+		y.forcing.setup(s)
 	}
 }
 
@@ -127,14 +150,32 @@ func (y *RotatingScalarNS) scalarAdvection(s *Solver, state, rhs [][]complex128,
 	}
 }
 
-// PostStep implements System.
+// PostStep implements System: one forcing application when forced.
 //
 //psdns:hotpath
-func (y *RotatingScalarNS) PostStep(*Solver, float64) {}
+func (y *RotatingScalarNS) PostStep(s *Solver, dt float64) {
+	if y.forcing != nil {
+		y.forcing.apply(s, dt)
+	}
+}
+
+// Forcing exposes the forcing controller, nil when the system is
+// unforced.
+func (y *RotatingScalarNS) Forcing() *StochasticForcing { return y.forcing }
+
+// Close frees the forcing controller's persistent reduction plan
+// (collective). Invoked by Solver.Close through the optional-Close
+// system contract.
+func (y *RotatingScalarNS) Close() {
+	if y.forcing != nil {
+		y.forcing.Close()
+	}
+}
 
 // Diagnostics implements System: the energy budget, the rotation
 // anisotropy measure b_zz = E_zz/E − 1/3 (zero for isotropy, negative
-// as rotation drains the axial component), and each scalar's variance.
+// as rotation drains the axial component), each scalar's variance and,
+// when forced, the forcing's budget terms.
 func (y *RotatingScalarNS) Diagnostics(s *Solver) []Diagnostic {
 	e := s.Energy()
 	d := []Diagnostic{
@@ -147,6 +188,11 @@ func (y *RotatingScalarNS) Diagnostics(s *Solver) []Diagnostic {
 	}
 	for i := range y.scalars {
 		d = append(d, Diagnostic{Name: "scalar.variance", Value: s.FieldVariance(3 + i)})
+	}
+	if y.forcing != nil {
+		d = append(d,
+			Diagnostic{Name: "forcing.injection", Value: y.forcing.Eps},
+			Diagnostic{Name: "forcing.band_energy", Value: y.forcing.BandEnergy(s)})
 	}
 	return d
 }

@@ -76,8 +76,9 @@ type ForcingSpec struct {
 }
 
 // SystemSpec carries the physics parameters a SystemFactory builds a
-// System from. Factories read the fields they understand and ignore
-// the rest, so one spec serves every registered system.
+// System from. One spec serves every registered system; a factory
+// panics, naming the option, on any part it cannot honour, so a
+// physics option is never silently dropped.
 type SystemSpec struct {
 	Nu      float64      // kinematic viscosity
 	Forcing ForcingSpec  // large-scale forcing (forced systems)
@@ -133,6 +134,24 @@ func SystemCode(name string) int {
 		}
 	}
 	return -1
+}
+
+// rejectSpec panics when spec sets physics the named system cannot
+// honour, naming the option that set it. Built-in factories call it
+// with the parts they support.
+func rejectSpec(system string, spec SystemSpec, forcing, scalars, rotation bool) {
+	var opt, alt string
+	switch {
+	case !forcing && spec.Forcing != (ForcingSpec{}):
+		opt, alt = "WithForcing/WithForcingNoise", `"forced-ns" or "rotating-scalar"`
+	case !scalars && len(spec.Scalars) > 0:
+		opt, alt = "WithScalars", `"rotating-scalar"`
+	case !rotation && spec.Omega != 0:
+		opt, alt = "WithRotation", `"rotating-scalar"`
+	default:
+		return
+	}
+	panic(fmt.Sprintf("spectral: system %q cannot honour %s; select %s or drop the option", system, opt, alt))
 }
 
 // NewNamedSystem builds a registered system from a spec. The error of

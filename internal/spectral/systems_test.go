@@ -29,31 +29,21 @@ func TestDecayingNSBitwiseGolden(t *testing.T) {
 	for _, scheme := range []Scheme{RK2, RK4} {
 		for _, p := range []int{1, 2, 4} {
 			want := golden[scheme][p]
-			// Old deprecated constructor and the new options one must
-			// both reproduce the pre-refactor sequence exactly.
-			for _, mode := range []string{"config", "options"} {
-				mode := mode
-				mpi.Run(p, func(c *mpi.Comm) {
-					var s *Solver
-					if mode == "config" {
-						s = NewSolver(c, Config{N: 32, Nu: 0.02, Scheme: scheme, Dealias: Dealias23})
-					} else {
-						s = New(c, 32, WithNu(0.02), WithScheme(scheme), WithDealias(Dealias23))
+			mpi.Run(p, func(c *mpi.Comm) {
+				s := New(c, 32, WithNu(0.02), WithScheme(scheme), WithDealias(Dealias23))
+				s.SetRandomIsotropic(3, 0.5, 424242)
+				e0 := s.Energy()
+				for i := 0; i < 5; i++ {
+					s.Step(0.004)
+				}
+				e5 := s.Energy()
+				if c.Rank() == 0 {
+					if e0 != want[0] || e5 != want[1] {
+						t.Errorf("scheme=%v p=%d: e0=%.17g e5=%.17g, want %.17g %.17g",
+							scheme, p, e0, e5, want[0], want[1])
 					}
-					s.SetRandomIsotropic(3, 0.5, 424242)
-					e0 := s.Energy()
-					for i := 0; i < 5; i++ {
-						s.Step(0.004)
-					}
-					e5 := s.Energy()
-					if c.Rank() == 0 {
-						if e0 != want[0] || e5 != want[1] {
-							t.Errorf("%v scheme=%v p=%d: e0=%.17g e5=%.17g, want %.17g %.17g",
-								mode, scheme, p, e0, e5, want[0], want[1])
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -187,8 +177,7 @@ func TestForcedNSRankCountIndependence(t *testing.T) {
 
 // TestScalarVarianceBudget advances a decaying passive scalar inside
 // the rotating-scalar system and checks the variance budget
-// d⟨θ²⟩/dt = −2χ over a step (trapezoid in time), plus that the
-// in-system scalar matches the physics of the legacy coupled path.
+// d⟨θ²⟩/dt = −2χ over a step (trapezoid in time).
 func TestScalarVarianceBudget(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		mpi.Run(p, func(c *mpi.Comm) {
@@ -329,15 +318,73 @@ func TestSystemGauge(t *testing.T) {
 	})
 }
 
-// TestStepWithScalarRejectsWideSystems pins the guard: the legacy
-// coupled path is only valid for 3-field systems.
-func TestStepWithScalarRejectsWideSystems(t *testing.T) {
-	err := mpi.TryRun(1, func(c *mpi.Comm) {
-		s := New(c, 16, WithNu(0.01), WithScalars(1))
-		sc := s.NewScalar(0.01)
-		s.StepWithScalar(sc, 0.01)
-	})
-	if err == nil {
-		t.Fatal("expected panic for StepWithScalar on a 4-field system")
+// TestSystemsRejectUnsupportedPhysics pins that a built-in factory
+// refuses, naming the option, physics it cannot honour, instead of
+// silently building a system without it. Inferred selections that
+// carry every requested part still construct.
+func TestSystemsRejectUnsupportedPhysics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want string // "" = must construct
+	}{
+		{"ns+scalars", []Option{WithSystem("ns"), WithScalars(2)}, "WithScalars"},
+		{"ns+rotation", []Option{WithSystem("ns"), WithRotation(3)}, "WithRotation"},
+		{"ns+forcing", []Option{WithSystem("ns"), WithForcing(2, 0.1)}, "WithForcing"},
+		{"ns+noise", []Option{WithForcingNoise(0.5, 3)}, "WithForcing"},
+		{"forced-ns+scalars", []Option{WithSystem("forced-ns"), WithScalars(1)}, "WithScalars"},
+		{"forced-ns+rotation", []Option{WithSystem("forced-ns"), WithRotation(1)}, "WithRotation"},
+		{"inferred rotating-scalar", []Option{WithRotation(2), WithScalars(2, 1.0, 0.7)}, ""},
+		{"forced rotating-scalar", []Option{WithForcing(2, 0.5), WithScalars(1)}, ""},
+	} {
+		err := mpi.TryRun(1, func(c *mpi.Comm) {
+			New(c, 8, append([]Option{WithNu(0.01)}, tc.opts...)...).Close()
+		})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want a panic naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRotatingScalarHonoursForcing checks that forcing given alongside
+// scalars reaches the rotating-scalar system: the controller is
+// present, reports its budget terms, and holds the energy up where
+// the same run unforced decays.
+func TestRotatingScalarHonoursForcing(t *testing.T) {
+	energy := map[bool]float64{}
+	for _, forced := range []bool{false, true} {
+		mpi.Run(2, func(c *mpi.Comm) {
+			opts := []Option{WithNu(0.08), WithDealias(Dealias23), WithScalars(1)}
+			if forced {
+				opts = append(opts, WithForcing(2, 0.5))
+			}
+			s := New(c, 16, opts...)
+			defer s.Close()
+			f := s.System().(interface{ Forcing() *StochasticForcing }).Forcing()
+			if (f != nil) != forced {
+				t.Fatalf("forced=%v: controller %v", forced, f)
+			}
+			s.SetRandomIsotropic(2, 0.5, 5)
+			for i := 0; i < 10; i++ {
+				s.Step(0.005)
+			}
+			e := s.Energy()
+			names := map[string]bool{}
+			for _, d := range s.SystemDiagnostics() {
+				names[d.Name] = true
+			}
+			if c.Rank() == 0 {
+				energy[forced] = e
+				if names["forcing.injection"] != forced {
+					t.Errorf("forced=%v: diagnostics %v", forced, names)
+				}
+			}
+		})
+	}
+	if energy[true] <= energy[false] {
+		t.Errorf("forcing had no effect: forced E=%g, unforced E=%g", energy[true], energy[false])
 	}
 }

@@ -92,47 +92,80 @@ func TestPackIsPermutationProperty(t *testing.T) {
 	}
 }
 
-// Property: the row/column pencil transposes are mutual inverses for
-// random 2D-decomposition geometry.
+// Property: the column and row transposes of the pencil decomposition
+// (the PencilLayout gathers) are mutual inverses for random process
+// grids, uneven x splits included.
 func TestPencilTransposeRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		pr := 1 + rng.Intn(4)
-		mx := 1 + rng.Intn(3)
-		my := mx // row transpose requires nx/pr == mx with nx = mx·pr and my = ny/pr
-		nx := mx * pr
-		ny := my * pr
-		mz := 1 + rng.Intn(3)
-		bs := mz * my * mx
-
-		orig := make([][]complex128, pr)
-		send := make([][]complex128, pr)
-		for r := 0; r < pr; r++ {
-			a := make([]complex128, mz*my*nx)
-			for i := range a {
-				a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		pr, pc := 1+rng.Intn(4), 1+rng.Intn(4)
+		n := 2 * pr * pc * (1 + rng.Intn(2))
+		lays := make([][]*PencilLayout, pr)
+		xspec := make([][][]complex128, pr) // [yG][zG], x-complete
+		for yG := range lays {
+			lays[yG] = make([]*PencilLayout, pc)
+			xspec[yG] = make([][]complex128, pc)
+			for zG := range lays[yG] {
+				l := NewPencilLayout(n, pr, pc, yG, zG)
+				lays[yG][zG] = l
+				x := make([]complex128, l.PadXLen)
+				for i := 0; i < l.XSpecLen(); i++ {
+					x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				}
+				xspec[yG][zG] = x
 			}
-			orig[r] = a
-			packed := make([]complex128, len(a))
-			PackRowAB(packed, a, nx, my, mz, pr)
-			send[r] = packed
 		}
-		recv := exchange(send, pr, bs)
-		back := make([][]complex128, pr)
-		for r := 0; r < pr; r++ {
-			b := make([]complex128, mz*mx*ny)
-			UnpackRowAB(b, recv[r], ny, mx, mz, pr)
-			packed := make([]complex128, len(b))
-			PackRowBA(packed, b, ny, mx, mz, pr)
-			back[r] = packed
+		type gather func(l *PencilLayout, dst []complex128, srcs [][]complex128)
+		// col exchanges within each row group yG (peers vary zG), row
+		// exchanges within each column group zG (peers vary yG).
+		col := func(src [][][]complex128, size func(*PencilLayout) int, g gather) [][][]complex128 {
+			out := make([][][]complex128, pr)
+			for yG := range out {
+				out[yG] = make([][]complex128, pc)
+				for zG := range out[yG] {
+					l := lays[yG][zG]
+					out[yG][zG] = make([]complex128, size(l))
+					g(l, out[yG][zG], src[yG])
+				}
+			}
+			return out
 		}
-		recv2 := exchange(back, pr, bs)
-		for r := 0; r < pr; r++ {
-			a := make([]complex128, mz*my*nx)
-			UnpackRowBA(a, recv2[r], nx, my, mz, pr)
-			for i := range a {
-				if a[i] != orig[r][i] {
-					return false
+		row := func(src [][][]complex128, size func(*PencilLayout) int, g gather) [][][]complex128 {
+			out := make([][][]complex128, pr)
+			for yG := range out {
+				out[yG] = make([][]complex128, pc)
+			}
+			for zG := 0; zG < pc; zG++ {
+				srcs := make([][]complex128, pr)
+				for yG := range srcs {
+					srcs[yG] = src[yG][zG]
+				}
+				for yG := range out {
+					l := lays[yG][zG]
+					out[yG][zG] = make([]complex128, size(l))
+					g(l, out[yG][zG], srcs)
+				}
+			}
+			return out
+		}
+		b := col(xspec, (*PencilLayout).BLen, func(l *PencilLayout, dst []complex128, srcs [][]complex128) {
+			PencilGatherColFwdRange(l, dst, srcs, 0, l.My)
+		})
+		c := row(b, (*PencilLayout).CLen, func(l *PencilLayout, dst []complex128, srcs [][]complex128) {
+			PencilGatherRowFwdRange(l, dst, srcs, 0, l.Mz2)
+		})
+		b = row(c, (*PencilLayout).BLen, func(l *PencilLayout, dst []complex128, srcs [][]complex128) {
+			PencilGatherRowInvRange(l, dst, srcs, 0, l.My)
+		})
+		back := col(b, func(l *PencilLayout) int { return l.PadXLen }, func(l *PencilLayout, dst []complex128, srcs [][]complex128) {
+			PencilGatherColInvRange(l, dst, srcs, 0, l.My)
+		})
+		for yG := range lays {
+			for zG, l := range lays[yG] {
+				for i := 0; i < l.XSpecLen(); i++ {
+					if back[yG][zG][i] != xspec[yG][zG][i] {
+						return false
+					}
 				}
 			}
 		}

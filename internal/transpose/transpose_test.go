@@ -194,153 +194,6 @@ func TestPencilBatchedUnpackPlacement(t *testing.T) {
 	}
 }
 
-func TestRowTransposeRoundTrip(t *testing.T) {
-	nx, ny, mz, pr := 8, 6, 2, 2
-	my, mx := ny/pr, nx/pr
-	bs := mz * my * mx
-
-	orig := make([][]complex128, pr)
-	send := make([][]complex128, pr)
-	for r := 0; r < pr; r++ {
-		a := make([]complex128, mz*my*nx)
-		for i := range a {
-			a[i] = complex(float64(r*1000+i), 0)
-		}
-		orig[r] = a
-		packed := make([]complex128, len(a))
-		PackRowAB(packed, a, nx, my, mz, pr)
-		send[r] = packed
-	}
-	recv := exchange(send, pr, bs)
-	backSend := make([][]complex128, pr)
-	for r := 0; r < pr; r++ {
-		b := make([]complex128, mz*mx*ny)
-		UnpackRowAB(b, recv[r], ny, mx, mz, pr)
-		packed := make([]complex128, len(b))
-		PackRowBA(packed, b, ny, mx, mz, pr)
-		backSend[r] = packed
-	}
-	recv2 := exchange(backSend, pr, bs)
-	for r := 0; r < pr; r++ {
-		a := make([]complex128, mz*my*nx)
-		UnpackRowBA(a, recv2[r], nx, my, mz, pr)
-		for i := range a {
-			if a[i] != orig[r][i] {
-				t.Fatalf("rank %d element %d not restored", r, i)
-			}
-		}
-	}
-}
-
-func TestRowTransposeGlobalPlacement(t *testing.T) {
-	nx, ny, mz, pr := 6, 4, 1, 2
-	my, mx := ny/pr, nx/pr
-	bs := mz * my * mx
-	send := make([][]complex128, pr)
-	for r := 0; r < pr; r++ {
-		a := make([]complex128, mz*my*nx)
-		for iz := 0; iz < mz; iz++ {
-			for iy := 0; iy < my; iy++ {
-				for ix := 0; ix < nx; ix++ {
-					a[(iz*my+iy)*nx+ix] = encode(ix, r*my+iy, iz)
-				}
-			}
-		}
-		packed := make([]complex128, len(a))
-		PackRowAB(packed, a, nx, my, mz, pr)
-		send[r] = packed
-	}
-	recv := exchange(send, pr, bs)
-	for r := 0; r < pr; r++ {
-		b := make([]complex128, mz*mx*ny)
-		UnpackRowAB(b, recv[r], ny, mx, mz, pr)
-		for iz := 0; iz < mz; iz++ {
-			for ix := 0; ix < mx; ix++ {
-				for iy := 0; iy < ny; iy++ {
-					want := encode(r*mx+ix, iy, iz)
-					if got := b[(iz*mx+ix)*ny+iy]; got != want {
-						t.Fatalf("rank %d x=%d y=%d: got %v want %v", r, r*mx+ix, iy, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestColTransposeRoundTrip(t *testing.T) {
-	ny, nz, mx, pc := 6, 4, 3, 2
-	my2, mz := ny/pc, nz/pc
-	bs := mz * mx * my2
-
-	orig := make([][]complex128, pc)
-	send := make([][]complex128, pc)
-	for r := 0; r < pc; r++ {
-		b := make([]complex128, mz*mx*ny)
-		for i := range b {
-			b[i] = complex(float64(r*777+i), float64(i%7))
-		}
-		orig[r] = b
-		packed := make([]complex128, len(b))
-		PackColBC(packed, b, ny, mx, mz, pc)
-		send[r] = packed
-	}
-	recv := exchange(send, pc, bs)
-	backSend := make([][]complex128, pc)
-	for r := 0; r < pc; r++ {
-		cArr := make([]complex128, my2*mx*nz)
-		UnpackColBC(cArr, recv[r], nz, mx, my2, pc)
-		packed := make([]complex128, len(cArr))
-		PackColCB(packed, cArr, nz, mx, my2, pc)
-		backSend[r] = packed
-	}
-	recv2 := exchange(backSend, pc, bs)
-	for r := 0; r < pc; r++ {
-		b := make([]complex128, mz*mx*ny)
-		UnpackColCB(b, recv2[r], ny, mx, mz, pc)
-		for i := range b {
-			if b[i] != orig[r][i] {
-				t.Fatalf("rank %d element %d not restored", r, i)
-			}
-		}
-	}
-}
-
-func TestColTransposeGlobalPlacement(t *testing.T) {
-	ny, nz, mx, pc := 4, 6, 2, 2
-	my2, mz := ny/pc, nz/pc
-	bs := mz * mx * my2
-	send := make([][]complex128, pc)
-	for r := 0; r < pc; r++ {
-		// Layout B on rank r: [mz][mx][ny], z range [r·mz,(r+1)·mz).
-		b := make([]complex128, mz*mx*ny)
-		for iz := 0; iz < mz; iz++ {
-			for ix := 0; ix < mx; ix++ {
-				for iy := 0; iy < ny; iy++ {
-					b[(iz*mx+ix)*ny+iy] = encode(ix, iy, r*mz+iz)
-				}
-			}
-		}
-		packed := make([]complex128, len(b))
-		PackColBC(packed, b, ny, mx, mz, pc)
-		send[r] = packed
-	}
-	recv := exchange(send, pc, bs)
-	for r := 0; r < pc; r++ {
-		cArr := make([]complex128, my2*mx*nz)
-		UnpackColBC(cArr, recv[r], nz, mx, my2, pc)
-		for iy := 0; iy < my2; iy++ {
-			for ix := 0; ix < mx; ix++ {
-				for iz := 0; iz < nz; iz++ {
-					want := encode(ix, r*my2+iy, iz)
-					if got := cArr[(iy*mx+ix)*nz+iz]; got != want {
-						t.Fatalf("rank %d y=%d z=%d: got %v want %v", r, r*my2+iy, iz, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestCopyStrided(t *testing.T) {
 	src := make([]float64, 20)
 	for i := range src {

@@ -14,9 +14,7 @@ import (
 // end, exactly as the package doc comment advertises.
 func TestPublicAPIQuickstart(t *testing.T) {
 	repro.Run(2, func(c *repro.Comm) {
-		tr := repro.NewAsyncTransform(c, 16, repro.AsyncOptions{
-			NP: 3, Granularity: repro.PerPencil,
-		})
+		tr := repro.NewAsync(c, 16, repro.WithNP(3), repro.WithGranularity(repro.PerPencil))
 		defer tr.Close()
 		s := repro.NewSolver(c, 16,
 			repro.WithNu(0.02),
