@@ -10,10 +10,11 @@ package fft
 // directly — no recursion, no table lookups, exact ±1/±i/√2⁄2
 // arithmetic — and recurse dispatches them before looking at the
 // factor list. Batched callers reach them through BatchCache → Batch.exec
-// → Plan.recurse on the scalar path (contiguous and arbitrary-stride
-// batches, single plans, real plans' half-length lines); interleaved
-// batches run the same formulas line-vectorized as vdft2/vdft4/vdft8
-// (lines.go) under Plan.vrecurse. Bluestein lengths never reach either
+// → Plan.recurse on the scalar path (arbitrary-stride and single-line
+// batches, radix-5 or generic-prime lengths, single plans, RealPlan's
+// half-length line); interleaved batches and the tiled contiguous and
+// unit-stride real batches run the same formulas line-vectorized as
+// vdft2/vdft4/vdft8 (lines.go) under Plan.vrecurse. Bluestein lengths never reach either
 // recursion, and any composite with 2 | n has factors drawn from
 // {4, 2} ∪ odd, so n ∈ {2, 4, 8} is always a pure power of two here —
 // the codelets are complete DFTs, not one factor's butterfly.

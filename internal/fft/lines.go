@@ -1,22 +1,123 @@
 package fft
 
-// The line-vectorized kernel runs one batch of L interleaved lines —
-// element j of line t at x[j·s+t], the layout of the slab's y/z planes
-// and of the async engine's per-pencil blocks — as a single DIT
+import "repro/internal/pool"
+
+// The line-vectorized kernel runs one batch of L lines as a single DIT
 // recursion over a dense [n][L] block: row k of the block holds bin k
 // of every line. Each codelet and each butterfly loads its twiddles
 // once and then sweeps the L contiguous lines in its inner loop, where
-// the scalar recursion would pay a strided gather, a recursion and L
-// table lookups per line.
+// the scalar recursion would pay a recursion and L table lookups per
+// line.
+//
+// Two layouts reach it. Interleaved batches — element j of line t at
+// x[j·s+t], the layout of the slab's y/z planes and of the async
+// engine's per-pencil blocks — are already [n][L] rows with row stride
+// s, so vrecurse reads the caller's memory directly. Unit-stride
+// batches — element j of line t at x[t·dist+j], the pencil engine's
+// contiguous c2c batches and the half-length lines of every engine's
+// x-direction real batch — go through the tiled driver instead: a tile
+// of up to tileLines lines is gathered into an [n][L] block, vrecurse
+// transforms it into a second block, and each line is scattered back.
+// A tile reads all its lines before writing any. The plans admit only
+// layouts whose output lines are disjoint and where no line is read
+// after another line has written into it (see NewBatch and
+// NewRealBatch), so that order is indistinguishable from line-by-line
+// execution, in place too.
 //
 // The arithmetic is the scalar recursion's, element for element: the
 // same factor order, the same codelet and combine formulas, the same
 // table entries. Only the loop nest changes (lines innermost instead
-// of outermost), so every line comes out bit for bit identical to
-// Plan.Forward/Inverse on that line. The kernel covers the n ∈ {1, 2,
-// 4, 8} codelets and the radix-2/3/4 combines; plans with a radix-5,
-// generic-prime or Bluestein factor run their batches on the scalar
-// recursion instead (see NewBatch).
+// of outermost), and gather and scatter only move values (the scatter
+// applies the inverse's 1/n exactly as Plan.store does), so every line
+// comes out bit for bit identical to Plan.Forward/Inverse on that
+// line. The kernel covers the n ∈ {1, 2, 4, 8} codelets and the
+// radix-2/3/4 combines; plans with a radix-5, generic-prime or
+// Bluestein factor run their batches on the scalar recursion instead
+// (see NewBatch and NewRealBatch).
+
+// tileLines is the number of unit-stride lines one pass of the tiled
+// driver carries. 32 lines keep a length-128 tile's two blocks (128 KiB)
+// well inside L2 while giving every butterfly a 32-wide inner loop;
+// see DESIGN.md §11 for the measurement.
+const tileLines = 32
+
+// newTile checks out the tiled driver's gathered input block and
+// output block for howmany length-n lines: [n][L] each, L the widest
+// tile the batch runs.
+func newTile(n, howmany int) (gath, block []complex128) {
+	L := min(howmany, tileLines)
+	return pool.GetComplex(n * L), pool.GetComplex(n * L)
+}
+
+// lineGroup is the number of lines the gather and scatter steps move
+// together: four complex128 values fill one 64-byte cache line of a
+// block row. Moving one line at a time would walk the block with a
+// stride of L·16 bytes, a power of two that maps every access of a
+// column to a handful of L1 sets and thrashes them.
+const lineGroup = 4
+
+// gatherLines transposes L unit-stride lines of length n, line t at
+// x[t·dist:], into the [n][L] block.
+//
+//psdns:hotpath
+func gatherLines(block, x []complex128, n, L, dist int) {
+	t := 0
+	for ; t+lineGroup <= L; t += lineGroup {
+		l0 := x[t*dist:][:n]
+		l1, l2, l3 := x[(t+1)*dist:][:n], x[(t+2)*dist:][:n], x[(t+3)*dist:][:n]
+		for j, v := range l0 {
+			r := block[j*L+t:][:lineGroup]
+			r[0], r[1], r[2], r[3] = v, l1[j], l2[j], l3[j]
+		}
+	}
+	for ; t < L; t++ {
+		for j, v := range x[t*dist:][:n] {
+			block[j*L+t] = v
+		}
+	}
+}
+
+// scatterLines writes the [n][L] block back to L unit-stride lines,
+// line t at dst[t·dist:], applying the inverse's 1/n as store does.
+//
+//psdns:hotpath
+func (p *Plan) scatterLines(dst, block []complex128, L, dist int, dir Direction) {
+	n := p.n
+	c := complex(1/float64(n), 0)
+	scale := dir == Inverse && n > 1
+	t := 0
+	for ; t+lineGroup <= L; t += lineGroup {
+		l0 := dst[t*dist:][:n]
+		l1, l2, l3 := dst[(t+1)*dist:][:n], dst[(t+2)*dist:][:n], dst[(t+3)*dist:][:n]
+		for k := range l0 {
+			r := block[k*L+t:][:lineGroup]
+			v0, v1, v2, v3 := r[0], r[1], r[2], r[3]
+			if scale {
+				v0, v1, v2, v3 = v0*c, v1*c, v2*c, v3*c
+			}
+			l0[k], l1[k], l2[k], l3[k] = v0, v1, v2, v3
+		}
+	}
+	for ; t < L; t++ {
+		line := dst[t*dist:][:n]
+		for k := range line {
+			v := block[k*L+t]
+			if scale {
+				v *= c
+			}
+			line[k] = v
+		}
+	}
+}
+
+// vtile transforms the first L gathered lines of gath into block: the
+// step every tile of the driver shares between its gather and its
+// scatter.
+//
+//psdns:hotpath
+func (p *Plan) vtile(block, gath []complex128, L int, dir Direction) {
+	p.vrecurse(block, gath, L, p.n, L, dir, p.table(dir), p.factors)
+}
 
 // vectorizable reports whether every factor of the plan has a
 // line-vectorized butterfly.

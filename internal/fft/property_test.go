@@ -126,29 +126,28 @@ func TestRealPlanConsistencyProperty(t *testing.T) {
 	}
 }
 
-// Property: batch execution with arbitrary valid strides equals
-// transform-by-transform execution bit for bit — the line-vectorized
-// kernel reorders loops, never arithmetic.
+// Property: batch execution equals transform-by-transform execution
+// bit for bit over interleaved, contiguous and in-place contiguous
+// layouts in both directions, with batches of up to more than two
+// tiles of the tiled driver — the line-vectorized kernel and the tiled
+// driver reorder loops, never arithmetic.
 func TestBatchEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(130)
-		hm := 1 + rng.Intn(5)
-		// Interleaved layout: stride hm, dist 1.
-		src := randComplex(rng, n*hm)
-		b := NewBatch(n, hm, hm, 1, hm, 1)
-		dst := make([]complex128, n*hm)
-		b.Forward(dst, src)
+		hm := 1 + rng.Intn(2*tileLines+8)
 		p := NewPlan(n)
-		one := make([]complex128, n)
-		out := make([]complex128, n)
-		for tIdx := 0; tIdx < hm; tIdx++ {
-			for j := 0; j < n; j++ {
-				one[j] = src[tIdx+j*hm]
-			}
-			p.Forward(out, one)
-			for k := 0; k < n; k++ {
-				if dst[tIdx+k*hm] != out[k] {
+		defer p.Release()
+		for _, l := range []struct {
+			stride, dist int
+			inPlace      bool
+		}{
+			{hm, 1, false}, // interleaved
+			{1, n, false},  // contiguous
+			{1, n, true},   // in-place contiguous
+		} {
+			for _, dir := range []Direction{Forward, Inverse} {
+				if !batchMatchesPlan(rng, p, hm, l.stride, l.dist, l.inPlace, dir) {
 					return false
 				}
 			}
@@ -158,4 +157,35 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// batchMatchesPlan runs one random batch of hm lines of p's length,
+// element j of line t at t·dist + j·stride on both sides, and reports
+// whether every line equals p's transform of it bit for bit.
+func batchMatchesPlan(rng *rand.Rand, p *Plan, hm, stride, dist int, inPlace bool, dir Direction) bool {
+	n := p.Len()
+	src := randComplex(rng, n*hm)
+	dst := make([]complex128, n*hm)
+	in := src
+	if inPlace {
+		copy(dst, src)
+		in = dst
+	}
+	b := NewBatch(n, hm, stride, dist, stride, dist)
+	b.exec(dst, in, dir)
+	b.Release()
+	one := make([]complex128, n)
+	out := make([]complex128, n)
+	for t := 0; t < hm; t++ {
+		for j := range one {
+			one[j] = src[t*dist+j*stride]
+		}
+		p.run(out, one, dir)
+		for k, v := range out {
+			if dst[t*dist+k*stride] != v {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -79,33 +79,21 @@ func (p *RealPlan) Forward(dst []complex128, src []float64) {
 		copy(dst, p.zs2[:p.HalfLen()])
 		return
 	}
-	h := n / 2
-	for j := 0; j < h; j++ {
-		p.zs[j] = complex(src[2*j], src[2*j+1])
-	}
+	packReal(p.zs, src, n/2, 1, 0)
 	p.half.transform(p.zs2, p.zs, Forward)
-	z := p.zs2
-	// Bins 0 and h both unpack z[0] (z has period h); they differ only
-	// in the twiddle, W⁰ = wr[0] and W^h = −1.
-	zk := z[0]
-	zc := cmplx.Conj(z[0])
-	xe := (zk + zc) * 0.5
-	xo := (zk - zc) * complex(0, -0.5)
-	dst[0] = xe + p.wr[0]*xo
-	dst[h] = xe + complex(-1, 0)*xo
-	for k := 1; k < h; k++ {
-		zk := z[k]
-		zc := cmplx.Conj(z[h-k])
-		xe := (zk + zc) * 0.5
-		xo := (zk - zc) * complex(0, -0.5)
-		dst[k] = xe + p.wr[k]*xo
-	}
+	p.unpackForward(dst, p.zs2, 1, 0)
 }
 
 // Inverse computes the inverse transform (including the 1/n factor) of
 // the half-spectrum src (length n/2+1) into the real sequence dst
-// (length n). The k=0 and k=n/2 inputs should have zero imaginary part;
-// any residual imaginary part is ignored, matching conjugate symmetry.
+// (length n). The k=0 and k=n/2 inputs of a real signal's spectrum
+// have zero imaginary part. For odd n a residual imaginary part of bin
+// 0 is ignored (odd n has no bin n/2). For even n it is not: the
+// even/odd fold adds −(Im X₀ + Im X_{n/2})/n to every even sample and
+// +(Im X₀ − Im X_{n/2})/n to every odd one, so X₀ = 1+1i at n = 8
+// gives [0, 0.25, 0, 0.25, …] rather than a uniform 0.125. Callers
+// that want the projection onto real signals zero those imaginary
+// parts first.
 //
 //psdns:hotpath
 func (p *RealPlan) Inverse(dst []float64, src []complex128) {
@@ -127,18 +115,160 @@ func (p *RealPlan) Inverse(dst []float64, src []complex128) {
 		}
 		return
 	}
-	h := n / 2
-	for k := 0; k < h; k++ {
-		xk := src[k]
-		xc := cmplx.Conj(src[h-k])
-		xe := (xk + xc) * 0.5
-		xo := (xk - xc) * 0.5 * cmplx.Conj(p.wr[k])
-		p.zs[k] = xe + complex(0, 1)*xo
-	}
+	p.packInverse(p.zs, src, 1, 0)
 	p.half.transform(p.zs2, p.zs, Inverse)
-	p.half.store(p.zs2, 1, p.zs2, Inverse)
-	for j, z := range p.zs2 {
-		dst[2*j] = real(z)
-		dst[2*j+1] = imag(z)
+	p.unpackInverse(dst, p.zs2, 1, 0)
+}
+
+// The even-n pack and unpack steps below work on L lines at once: the
+// half-length complex lines live in an [h][L] block (element j of line
+// t at block[j·L+t]), the tiled driver's layout. RealPlan runs them
+// with L = 1, where the block is the plain line, and RealBatch with a
+// whole tile, so both execute the same expressions per element and
+// produce the same bits.
+
+// packReal packs L real lines of length 2h, line t at x[t·dist:], into
+// the [h][L] block of pairs z_j = x[2j] + i·x[2j+1].
+//
+//psdns:hotpath
+func packReal(block []complex128, x []float64, h, L, dist int) {
+	t := 0
+	for ; t+lineGroup <= L; t += lineGroup {
+		l0 := x[t*dist:][:2*h]
+		l1, l2, l3 := x[(t+1)*dist:][:2*h], x[(t+2)*dist:][:2*h], x[(t+3)*dist:][:2*h]
+		for j := 0; j < h; j++ {
+			r := block[j*L+t:][:lineGroup]
+			r[0] = complex(l0[2*j], l0[2*j+1])
+			r[1] = complex(l1[2*j], l1[2*j+1])
+			r[2] = complex(l2[2*j], l2[2*j+1])
+			r[3] = complex(l3[2*j], l3[2*j+1])
+		}
+	}
+	for ; t < L; t++ {
+		line := x[t*dist:][:2*h]
+		for j := 0; j < h; j++ {
+			block[j*L+t] = complex(line[2*j], line[2*j+1])
+		}
+	}
+}
+
+// unpackBin is the conjugate-symmetric even/odd split of one forward
+// bin: X_k = E_k + W^k·O_k from z_k and z_{h−k}, w = W^k.
+func unpackBin(zk, zhk, w complex128) complex128 {
+	zc := cmplx.Conj(zhk)
+	xe := (zk + zc) * 0.5
+	xo := (zk - zc) * complex(0, -0.5)
+	return xe + w*xo
+}
+
+// unpackForward turns the [h][L] block z of half-length spectra into L
+// half-spectra of length h+1, line t at dst[t·dist:]. Bins 0 and h
+// both unpack z_0 (z has period h); they differ only in the twiddle,
+// W⁰ = wr[0] and W^h = −1.
+//
+//psdns:hotpath
+func (p *RealPlan) unpackForward(dst, z []complex128, L, dist int) {
+	h := p.n / 2
+	w0 := p.wr[0]
+	t := 0
+	for ; t+lineGroup <= L; t += lineGroup {
+		d0 := dst[t*dist:][:h+1]
+		d1, d2, d3 := dst[(t+1)*dist:][:h+1], dst[(t+2)*dist:][:h+1], dst[(t+3)*dist:][:h+1]
+		r := z[t:][:lineGroup]
+		d0[0], d0[h] = unpackBin(r[0], r[0], w0), unpackBin(r[0], r[0], -1)
+		d1[0], d1[h] = unpackBin(r[1], r[1], w0), unpackBin(r[1], r[1], -1)
+		d2[0], d2[h] = unpackBin(r[2], r[2], w0), unpackBin(r[2], r[2], -1)
+		d3[0], d3[h] = unpackBin(r[3], r[3], w0), unpackBin(r[3], r[3], -1)
+		for k := 1; k < h; k++ {
+			w := p.wr[k]
+			r := z[k*L+t:][:lineGroup]
+			m := z[(h-k)*L+t:][:lineGroup]
+			d0[k] = unpackBin(r[0], m[0], w)
+			d1[k] = unpackBin(r[1], m[1], w)
+			d2[k] = unpackBin(r[2], m[2], w)
+			d3[k] = unpackBin(r[3], m[3], w)
+		}
+	}
+	for ; t < L; t++ {
+		d := dst[t*dist:][:h+1]
+		d[0], d[h] = unpackBin(z[t], z[t], w0), unpackBin(z[t], z[t], -1)
+		for k := 1; k < h; k++ {
+			d[k] = unpackBin(z[k*L+t], z[(h-k)*L+t], p.wr[k])
+		}
+	}
+}
+
+// foldBin is the inverse of unpackBin: the half-length inverse's input
+// E_k + i·O_k from X_k and X_{h−k}, w = W^k.
+func foldBin(xk, xhk, w complex128) complex128 {
+	xc := cmplx.Conj(xhk)
+	xe := (xk + xc) * 0.5
+	xo := (xk - xc) * 0.5 * cmplx.Conj(w)
+	return xe + complex(0, 1)*xo
+}
+
+// packInverse folds L half-spectra, line t at src[t·dist:], into the
+// [h][L] block of the half-length inverse's inputs. Bins 0 and h meet
+// in row 0, imaginary parts included.
+//
+//psdns:hotpath
+func (p *RealPlan) packInverse(block, src []complex128, L, dist int) {
+	h := p.n / 2
+	t := 0
+	for ; t+lineGroup <= L; t += lineGroup {
+		s0 := src[t*dist:][:h+1]
+		s1, s2, s3 := src[(t+1)*dist:][:h+1], src[(t+2)*dist:][:h+1], src[(t+3)*dist:][:h+1]
+		for k := 0; k < h; k++ {
+			w := p.wr[k]
+			r := block[k*L+t:][:lineGroup]
+			r[0] = foldBin(s0[k], s0[h-k], w)
+			r[1] = foldBin(s1[k], s1[h-k], w)
+			r[2] = foldBin(s2[k], s2[h-k], w)
+			r[3] = foldBin(s3[k], s3[h-k], w)
+		}
+	}
+	for ; t < L; t++ {
+		s := src[t*dist:][:h+1]
+		for k := 0; k < h; k++ {
+			block[k*L+t] = foldBin(s[k], s[h-k], p.wr[k])
+		}
+	}
+}
+
+// unpackInverse applies the half-length inverse's 1/h to the [h][L]
+// block z, as Plan.store does (a length-1 half plan passes through
+// unscaled), and splits it into L real lines of length 2h, line t at
+// dst[t·dist:], with x[2j] = Re z_j and x[2j+1] = Im z_j.
+//
+//psdns:hotpath
+func (p *RealPlan) unpackInverse(dst []float64, z []complex128, L, dist int) {
+	h := p.n / 2
+	c := complex(1/float64(h), 0)
+	scale := h > 1
+	t := 0
+	for ; t+lineGroup <= L; t += lineGroup {
+		d0 := dst[t*dist:][:2*h]
+		d1, d2, d3 := dst[(t+1)*dist:][:2*h], dst[(t+2)*dist:][:2*h], dst[(t+3)*dist:][:2*h]
+		for j := 0; j < h; j++ {
+			r := z[j*L+t:][:lineGroup]
+			v0, v1, v2, v3 := r[0], r[1], r[2], r[3]
+			if scale {
+				v0, v1, v2, v3 = v0*c, v1*c, v2*c, v3*c
+			}
+			d0[2*j], d0[2*j+1] = real(v0), imag(v0)
+			d1[2*j], d1[2*j+1] = real(v1), imag(v1)
+			d2[2*j], d2[2*j+1] = real(v2), imag(v2)
+			d3[2*j], d3[2*j+1] = real(v3), imag(v3)
+		}
+	}
+	for ; t < L; t++ {
+		d := dst[t*dist:][:2*h]
+		for j := 0; j < h; j++ {
+			v := z[j*L+t]
+			if scale {
+				v *= c
+			}
+			d[2*j], d[2*j+1] = real(v), imag(v)
+		}
 	}
 }

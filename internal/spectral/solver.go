@@ -65,6 +65,23 @@ type Transform interface {
 type difGroup struct {
 	nu     float64
 	lo, hi int // fields [lo, hi)
+	// ifs caches the group's integrating factors for the last distinct
+	// time steps: one table under RK2 (dt), two under RK4 (h and h/2),
+	// so a steady step evaluates no exponential at all. next is the
+	// slot a new time step overwrites.
+	ifs  []ifTable
+	next int
+}
+
+// ifTable holds exp(−ν·k²·dt) of one group for one dt, indexed by k².
+// The wavenumber tables hold integers (grid.Wavenumber), so every
+// mode's k² = kx² + ky² + kz² is an exact integer no larger than
+// 3·(N/2)², and all modes with the same k² share one factor: the table
+// has 3·(N/2)²+1 entries rather than one per mode of the slab. dt = 0
+// marks a table not built yet.
+type ifTable struct {
+	dt float64
+	e  []float64
 }
 
 // Solver advances one equation set (a System) on one MPI rank of a
@@ -315,7 +332,11 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 			hi++
 		}
 		if nu != 0 {
-			s.difGroups = append(s.difGroups, difGroup{nu: nu, lo: c, hi: hi})
+			g := difGroup{nu: nu, lo: c, hi: hi, ifs: make([]ifTable, ifSlots(cfg.Scheme))}
+			for i := range g.ifs {
+				g.ifs[i].e = make([]float64, 3*(n/2)*(n/2)+1)
+			}
+			s.difGroups = append(s.difGroups, g)
 		}
 		c = hi
 	}
@@ -608,7 +629,7 @@ func addScaled(dst, src [][]complex128, a float64) {
 
 // applyIF multiplies each mode of every diffusive field by its
 // integrating factor exp(−ν_c·k²·dt). Fields sharing a diffusivity
-// share one exponential per mode (for plain NS: one exp, three
+// share one cached factor table (for plain NS: one table, three
 // fields — the pre-registry arithmetic exactly).
 //
 //psdns:hotpath
@@ -617,8 +638,9 @@ func (s *Solver) applyIF(f [][]complex128, dt float64) {
 		return
 	}
 	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	for _, g := range s.difGroups {
-		nu := g.nu
+	for i := range s.difGroups {
+		g := &s.difGroups[i]
+		tab := g.factors(dt)
 		idx := 0
 		for iz := 0; iz < mz; iz++ {
 			kz2 := s.kzs[iz] * s.kzs[iz]
@@ -626,7 +648,7 @@ func (s *Solver) applyIF(f [][]complex128, dt float64) {
 				ky2 := s.kys[iy] * s.kys[iy]
 				for ix := 0; ix < nxh; ix++ {
 					k2 := s.kxs[ix]*s.kxs[ix] + ky2 + kz2
-					e := complex(math.Exp(-nu*k2*dt), 0)
+					e := complex(tab[int(k2)], 0)
 					for c := g.lo; c < g.hi; c++ {
 						f[c][idx] *= e
 					}
@@ -635,6 +657,38 @@ func (s *Solver) applyIF(f [][]complex128, dt float64) {
 			}
 		}
 	}
+}
+
+// ifSlots is the number of distinct time steps a scheme's step passes
+// to applyIF.
+func ifSlots(sc Scheme) int {
+	if sc == RK4 {
+		return 2
+	}
+	return 1
+}
+
+// factors returns the group's integrating-factor table for dt,
+// rebuilding the oldest cached table in place when dt is new. Entry k²
+// is math.Exp(−ν·k²·dt) on the float64 k² that every mode with that
+// integer k² computes, so a looked-up factor equals the per-mode
+// expression bit for bit.
+//
+//psdns:hotpath
+func (g *difGroup) factors(dt float64) []float64 {
+	for i := range g.ifs {
+		if g.ifs[i].dt == dt {
+			return g.ifs[i].e
+		}
+	}
+	t := &g.ifs[g.next]
+	g.next = (g.next + 1) % len(g.ifs)
+	t.dt = dt
+	nu := g.nu
+	for k2 := range t.e {
+		t.e[k2] = math.Exp(-nu * float64(k2) * dt)
+	}
+	return t.e
 }
 
 // stepShift derives a deterministic pseudo-random phase shift for the

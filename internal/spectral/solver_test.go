@@ -80,6 +80,52 @@ func TestSingleModeViscousDecayIsExact(t *testing.T) {
 	})
 }
 
+// TestIntegratingFactorCacheMatchesDirectExp drives applyIF through
+// more distinct time steps than an RK4 solver caches, revisiting
+// evicted ones, on two diffusivity groups: every mode must be scaled
+// by exactly the per-mode math.Exp(−ν·k²·dt) the solver evaluated
+// before it cached factors.
+func TestIntegratingFactorCacheMatchesDirectExp(t *testing.T) {
+	mpi.Run(2, func(c *mpi.Comm) {
+		s := New(c, 12, WithNu(0.03), WithScheme(RK4), WithScalars(1, 0.7))
+		if len(s.difGroups) != 2 {
+			t.Errorf("want 2 diffusivity groups (velocity, scalar), got %d", len(s.difGroups))
+			return
+		}
+		n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
+		f := make([][]complex128, s.nf)
+		for _, dt := range []float64{0.01, 0.005, 0.01, 0.003, 0.005, 0.01, 0.003} {
+			for c := range f {
+				f[c] = make([]complex128, len(s.state[c]))
+				for i := range f[c] {
+					f[c][i] = complex(1, -1)
+				}
+			}
+			s.applyIF(f, dt)
+			for _, g := range s.difGroups {
+				idx := 0
+				for iz := 0; iz < mz; iz++ {
+					kz2 := s.kzs[iz] * s.kzs[iz]
+					for iy := 0; iy < n; iy++ {
+						ky2 := s.kys[iy] * s.kys[iy]
+						for ix := 0; ix < nxh; ix++ {
+							k2 := s.kxs[ix]*s.kxs[ix] + ky2 + kz2
+							want := complex(1, -1) * complex(math.Exp(-g.nu*k2*dt), 0)
+							for fc := g.lo; fc < g.hi; fc++ {
+								if f[fc][idx] != want {
+									t.Errorf("dt=%g field %d mode %d: %v, direct exp gives %v", dt, fc, idx, f[fc][idx], want)
+									return
+								}
+							}
+							idx++
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestDivergenceFreeInvariant(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
